@@ -106,7 +106,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_cost(args) -> int:
     data = json.load(sys.stdin)
-    if "scheme" in data:
+    if isinstance(data, dict) and "scheme" in data:
         data = data["scheme"]
     scheme = RepairScheme.from_dict(data)
     scheme.require_valid()

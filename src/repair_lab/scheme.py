@@ -270,6 +270,25 @@ class RepairScheme:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RepairScheme":
+        """Inverse of to_dict; raises ValueError on any malformed input."""
+
+        def is_int(x) -> bool:
+            return isinstance(x, int) and not isinstance(x, bool)
+
+        def is_int_list(x) -> bool:
+            return isinstance(x, list) and all(is_int(v) for v in x)
+
+        if not isinstance(data, dict):
+            raise ValueError("a scheme must be a JSON object")
+        for key in ("q", "ell", "k", "star"):
+            if not is_int(data.get(key)):
+                raise ValueError(f"scheme field {key!r} must be an integer")
+        for key in ("modulus", "basis"):
+            if data.get(key) is not None and not is_int_list(data[key]):
+                raise ValueError(f"scheme field {key!r} must be a list of integers")
+        duals = data.get("duals")
+        if not isinstance(duals, list) or not all(is_int_list(g) for g in duals):
+            raise ValueError("scheme field 'duals' must be a list of integer lists")
         ctx = FieldContext(
             data["q"], data["ell"], data.get("modulus"), data.get("basis")
         )

@@ -3,9 +3,12 @@
 A scheme's cost depends only on the B-span of its ell dual codewords, so the
 search enumerates ell-dimensional subspaces of the dual code (an (r*ell)-dimensional
 space over B, where r = n - k), one reduced-echelon basis per subspace.  Candidates
-whose span projects rank-deficiently onto the failed node cannot repair and are
-skipped before costing.  Enumeration is partitioned by echelon pivot pattern across
-worker processes and merged by (cost, canonical basis) so the result is
+whose span projects rank-deficiently onto the failed node cannot repair and
+never win.  One scanner serves every q: it walks each echelon pivot pattern's
+free cells in modular q-ary Gray order on packed integers, one row addition per
+subspace.  The patterns' Gray-counter ranges, laid end to end and weighted by
+q^(free cells), are cut into equal contiguous loads for the worker processes,
+and the loads' results are merged by (cost, canonical basis), so the result is
 deterministic regardless of scheduling; REPAIR_LAB_THREADS caps the workers.
 
 A hard cap (default 10^7 subspaces, pre-checked with the Gaussian binomial
@@ -15,9 +18,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from itertools import combinations, product
+from functools import reduce
+from itertools import accumulate, combinations, product, repeat
+from operator import or_
 
-from . import linalg
 from .construction import build_low_io_scheme, predicted_cost
 from .fieldmath import FieldContext
 from .rs import RSCode
@@ -57,12 +61,10 @@ def _free_cells(pivots: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     ]
 
 
-def iter_echelon_bases(m: int, k: int, q: int, patterns=None):
+def iter_echelon_bases(m: int, k: int, q: int):
     """Every k x m reduced-echelon basis matrix over GF(q), one per subspace,
-    as tuples of row tuples.  Restrict to the given pivot patterns if any."""
-    if patterns is None:
-        patterns = combinations(range(m), k)
-    for pivots in patterns:
+    as tuples of row tuples."""
+    for pivots in combinations(range(m), k):
         cells = _free_cells(pivots, m)
         base = [[0] * m for _ in range(k)]
         for r, p in enumerate(pivots):
@@ -115,115 +117,116 @@ def iter_valid_schemes(ctx: FieldContext, r: int, star: int = 1):
             yield scheme
 
 
-def _gf2_rank(vectors) -> int:
-    basis: list[int] = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-    return len(basis)
+def _split(items, workers: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
+    """Cut the items, laid end to end, into at most `workers` contiguous loads
+    of at most ceil(total / workers) subspaces; a cut splits a counter range."""
+    total = sum(stop - start for _, start, stop in items)
+    share = -(-total // workers)
+    loads, load, room = [], [], share
+    for pivots, start, stop in items:
+        while start < stop:
+            end = min(stop, start + room)
+            load.append((pivots, start, end))
+            room -= end - start
+            start = end
+            if not room:
+                loads.append(load)
+                load, room = [], share
+    if load:
+        loads.append(load)
+    return loads
 
 
-def _scan_patterns_gf2(ctx: FieldContext, r: int, star: int, patterns):
-    """q = 2 fast path: subsymbol rows and node values packed into bit masks."""
-    ell, m = ctx.ell, r * ctx.ell
-    rows_data, vals_data = _dual_space_data(ctx, r, star)
-    packed = [sum(bit << pos for pos, bit in enumerate(row)) for row in rows_data]
-    count = 0
-    best = None  # (cost, key, rows)
-    for pivots in patterns:
-        cells = _free_cells(pivots, m)
-        for assignment in product((0, 1), repeat=len(cells)):
-            count += 1
-            masks = [1 << p for p in pivots]
-            for (rr, c), v in zip(cells, assignment):
-                if v:
-                    masks[rr] |= 1 << c
-            vals = []
-            for mask in masks:
-                acc, mm = 0, mask
-                while mm:
-                    low = mm & -mm
-                    acc ^= vals_data[low.bit_length() - 1]
-                    mm ^= low
-                vals.append(acc)
-            if _gf2_rank(vals) != ell:
-                continue
-            supp = 0
-            for mask in masks:
-                acc, mm = 0, mask
-                while mm:
-                    low = mm & -mm
-                    acc ^= packed[low.bit_length() - 1]
-                    mm ^= low
-                supp |= acc
-            cost = bin(supp).count("1") - ell
-            if best is None or cost < best[0]:
-                key = tuple((mask >> c) & 1 for mask in masks for c in range(m))
-                best = (cost, key, tuple(masks))
-            elif cost == best[0]:
-                key = tuple((mask >> c) & 1 for mask in masks for c in range(m))
-                if key < best[1]:
-                    best = (cost, key, tuple(masks))
-    if best is not None:
-        cost, key, masks = best
-        rows = tuple(
-            tuple((mask >> c) & 1 for c in range(m)) for mask in masks
-        )
-        best = (cost, key, rows)
-    return count, best
+def _scan(ctx: FieldContext, r: int, star: int, items):
+    """(count, best) over (pivots, start, stop) Gray-counter ranges, where best
+    is the least (cost, flattened echelon basis) among valid bases, or None.
 
-
-def _scan_patterns_generic(ctx: FieldContext, r: int, star: int, patterns):
+    Counter t visits the free-cell digits g_j = (a_j - a_{j+1}) mod q of its
+    base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
+    t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
+    dual-space row is added to one basis row.  Rows (n*ell subsymbol
+    coordinates) and node values (ell digits) are packed into b-bit fields; a
+    field sum >= q shows in its high bit once 2^(b-1) - q is added (for q = 2
+    fields are bits and addition is XOR).  The cost counts the nonzero fields
+    of the rows' OR; only a basis whose cost can still win gets the exact rank
+    test.  Cells run row-major, so the fast digits are row 0's and the OR and
+    node-value span of rows 1.. are rebuilt only when one of those rows moves.
+    """
     q, ell, m = ctx.q, ctx.ell, r * ctx.ell
     rows_data, vals_data = _dual_space_data(ctx, r, star)
-    width = len(rows_data[0])
-    count = 0
-    best = None
-    for rows in iter_echelon_bases(m, ell, q, patterns):
-        count += 1
-        vals = []
-        for row in rows:
-            acc = 0
-            for c, coeff in enumerate(row):
-                if coeff:
-                    acc = ctx.add(acc, ctx.mul(coeff, vals_data[c]))
-            vals.append(acc)
-        if linalg.rank([list(ctx.digits(v)) for v in vals], q) != ell:
-            continue
-        stacked = []
-        for row in rows:
-            acc = [0] * width
-            for c, coeff in enumerate(row):
-                if coeff:
-                    data = rows_data[c]
-                    acc = [(x + coeff * y) % q for x, y in zip(acc, data)]
-            stacked.append(acc)
-        cost = sum(1 for pos in range(width) if any(g[pos] for g in stacked)) - ell
-        if best is None or cost < best[0]:
-            best = (cost, tuple(x for row in rows for x in row), rows)
-        elif cost == best[0]:
-            key = tuple(x for row in rows for x in row)
-            if key < best[1]:
-                best = (cost, key, rows)
+    b = 1 if q == 2 else (2 * q - 1).bit_length() + 1
+    shift, full = b - 1, q ** (ell - 1)
+
+    def pack(digits) -> int:
+        return sum(d << (j * b) for j, d in enumerate(digits))
+
+    P = [pack(row) for row in rows_data]
+    V = [pack(ctx.digits(v)) for v in vals_data]
+    ones = pack([1] * len(rows_data[0]))
+    high = ones << shift
+    over, nonzero = ((1 << shift) - q) * ones, ((1 << shift) - 1) * ones
+
+    def add(x: int, y: int) -> int:
+        if q == 2:
+            return x ^ y
+        s = x + y
+        return s - (((s + over) & high) >> shift) * q
+
+    count, best = 0, None
+    for pivots, start, stop in items:
+        cells = _free_cells(pivots, m)
+        a = [start // q**j % q for j in range(len(cells))] + [0]
+        rows, vals = [P[p] for p in pivots], [V[p] for p in pivots]
+        for j, (i, c) in enumerate(cells):
+            for _ in range((a[j] - a[j + 1]) % q):
+                rows[i], vals[i] = add(rows[i], P[c]), add(vals[i], V[c])
+        t, i = start, 1
+        while True:
+            if i:  # a row other than row 0 moved (or this range just began)
+                rest, lower = reduce(or_, rows[1:], 0), None
+            cost = (((rest | rows[0]) + nonzero) & high).bit_count() - ell
+            if best is None or cost <= best[0]:
+                # rank ell iff values 1.. span q^(ell-1) points and value 0 is outside
+                if lower is None:
+                    lower = {0}
+                    for v in vals[1:]:
+                        multiples = list(accumulate([v] * (q - 1), add, initial=0))
+                        lower = {add(x, w) for x in lower for w in multiples}
+                if len(lower) == full and vals[0] not in lower:
+                    key = [0] * (ell * m)
+                    for row, p in enumerate(pivots):
+                        key[row * m + p] = 1
+                    for k, (row, c) in enumerate(cells):
+                        key[row * m + c] = (a[k] - a[k + 1]) % q
+                    if best is None or (cost, tuple(key)) < best:
+                        best = (cost, tuple(key))
+            t += 1
+            if t == stop:
+                break
+            j = 0
+            while a[j] == q - 1:
+                a[j] = 0
+                j += 1
+            a[j] += 1
+            i, c = cells[j]
+            if q == 2:  # add() inlined: this is the hot loop
+                rows[i] ^= P[c]
+                vals[i] ^= V[c]
+            else:
+                s, u = rows[i] + P[c], vals[i] + V[c]
+                rows[i] = s - (((s + over) & high) >> shift) * q
+                vals[i] = u - (((u + over) & high) >> shift) * q
+        count += t - start
     return count, best
 
 
-def _scan_chunk(args):
-    q, ell, modulus, basis, r, star, patterns = args
-    ctx = FieldContext(q, ell, modulus, basis)
-    scan = _scan_patterns_gf2 if q == 2 else _scan_patterns_generic
-    return scan(ctx, r, star, patterns)
-
-
-def _resolve_workers(workers: int | None, npatterns: int) -> int:
+def _resolve_workers(workers: int | None, nitems: int) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
     env = os.environ.get("REPAIR_LAB_THREADS")
     if env:
         workers = min(workers, max(1, int(env)))
-    return max(1, min(workers, npatterns))
+    return max(1, min(workers, nitems))
 
 
 def min_io_exhaustive(
@@ -250,19 +253,15 @@ def min_io_exhaustive(
         raise ValueError(
             f"search space has {expected} subspaces, over the cap of {cap}"
         )
-    patterns = list(combinations(range(m), ell))
-    workers = _resolve_workers(workers, len(patterns))
+    patterns = combinations(range(m), ell)
+    items = [(p, 0, q ** len(_free_cells(p, m))) for p in patterns]
+    workers = _resolve_workers(workers, expected)
     if workers > 1 and expected >= _PARALLEL_THRESHOLD:
-        chunks = [patterns[w::workers] for w in range(workers)]
-        args = [
-            (q, ell, ctx.modulus, ctx.basis, r, star, chunk) for chunk in chunks
-        ]
-        results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan_chunk, args))
+        loads = _split(items, workers)
+        with ProcessPoolExecutor(max_workers=len(loads)) as pool:
+            results = list(pool.map(_scan, repeat(ctx), repeat(r), repeat(star), loads))
     else:
-        scan = _scan_patterns_gf2 if q == 2 else _scan_patterns_generic
-        results = [scan(ctx, r, star, patterns)]
+        results = [_scan(ctx, r, star, items)]
     total = sum(count for count, _ in results)
     if total != expected:
         raise VerificationError(
@@ -271,7 +270,8 @@ def min_io_exhaustive(
     candidates = [best for _, best in results if best is not None]
     if not candidates:
         raise VerificationError("no valid scheme found; the dual code spans F")
-    cost, _, rows = min(candidates, key=lambda b: (b[0], b[1]))
+    cost, key = min(candidates)
+    rows = [key[i * m : (i + 1) * m] for i in range(ell)]
     scheme = _rows_to_scheme(ctx, rows, r, star)
     if scheme.validate() is not None or scheme.io_cost_direct() != cost:
         raise VerificationError("witness scheme does not reproduce the minimum")

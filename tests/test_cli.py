@@ -132,6 +132,56 @@ def test_cost_invalid_scheme_exit_2(capsys, monkeypatch):
     assert "degree" in err
 
 
+_GOOD_DOC = {"q": 2, "ell": 2, "n": 4, "k": 2, "star": 1, "duals": [[3], [1]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1],
+        "scheme",
+        5,
+        None,
+        {"scheme": [1]},
+        {"q": "2", "ell": 3, "k": 5, "star": 1, "duals": [[1]]},
+        {**_GOOD_DOC, "q": True},
+        {**_GOOD_DOC, "ell": 2.0},
+        {**_GOOD_DOC, "star": None},
+        {key: v for key, v in _GOOD_DOC.items() if key != "k"},
+        {**_GOOD_DOC, "modulus": "1,1,1"},
+        {**_GOOD_DOC, "modulus": [1, "1", 1]},
+        {**_GOOD_DOC, "basis": [1, False]},
+        {**_GOOD_DOC, "duals": [3, 1]},
+        {**_GOOD_DOC, "duals": [[3], [1.0]]},
+        {**_GOOD_DOC, "duals": {"1": [3]}},
+    ],
+    ids=lambda doc: json.dumps(doc)[:40],
+)
+def test_cost_malformed_scheme_exit_2(capsys, monkeypatch, doc):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, out, err = _run(capsys, "cost")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text", ['[1]', '{"q":"2","ell":3,"k":5,"star":1,"duals":[[1]]}']
+)
+def test_cost_malformed_scheme_no_traceback_subprocess(text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repair_lab", "cost"],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 def test_repair_demo_seventeen_reads(capsys):
     code, out, _ = _run(
         capsys,

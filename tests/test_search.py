@@ -1,4 +1,8 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repair_lab.fieldmath import FieldContext
 from repair_lab import search
@@ -93,11 +97,117 @@ def test_min_io_other_node_same_value():
 
 
 def test_parallel_scan_matches_serial(monkeypatch):
-    serial_cost, serial_witness = min_io_exhaustive(GF8, 2, workers=1)
-    monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
-    par_cost, par_witness = min_io_exhaustive(GF8, 2, workers=2)
-    assert par_cost == serial_cost == 17
-    assert par_witness.duals == serial_witness.duals
+    for ctx, r, star, expect in ((GF8, 2, 1, 17), (GF9, 3, 4, 10)):
+        serial_cost, serial_witness = min_io_exhaustive(ctx, r, star=star, workers=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_PARALLEL_THRESHOLD", 1)
+            for workers in (2, 3):
+                cost, witness = min_io_exhaustive(ctx, r, star=star, workers=workers)
+                assert cost == serial_cost == expect
+                assert witness.to_dict() == serial_witness.to_dict()
+
+
+# ---- the Gray scanner against a slow oracle, and its split --------------------------
+
+
+def _oracle(ctx, r, star):
+    """(count, minimum, witness) by costing every echelon basis as a scheme."""
+    m, ell = r * ctx.ell, ctx.ell
+    count, best = 0, None
+    for rows in iter_echelon_bases(m, ell, ctx.q):
+        count += 1
+        scheme = search._rows_to_scheme(ctx, rows, r, star)
+        if scheme.validate() is None:
+            candidate = (scheme.io_cost_direct(), sum(rows, ()))
+            best = candidate if best is None else min(best, candidate)
+    cost, key = best
+    witness = search._rows_to_scheme(ctx, [key[i * m : (i + 1) * m] for i in range(ell)], r, star)
+    return count, cost, witness
+
+
+# (q, ell, r) with at most 2000 subspaces
+_SMALL_CASES = [
+    (2, 2, 2), (2, 2, 3), (2, 3, 2), (3, 1, 2), (3, 2, 2),
+    (5, 1, 2), (5, 1, 3), (5, 1, 4), (5, 2, 2),
+]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_scanner_matches_oracle(data):
+    q, ell, r = data.draw(st.sampled_from(_SMALL_CASES))
+    order = q**ell
+    basis = data.draw(st.lists(st.integers(1, order - 1), min_size=ell, max_size=ell))
+    try:
+        ctx = FieldContext(q, ell, None, basis)
+    except ValueError:
+        assume(False)
+    star = data.draw(st.integers(1, order))
+    assert gaussian_binomial(r * ell, ell, q) <= 2000
+    count, cost, witness = _oracle(ctx, r, star)
+    assert count == gaussian_binomial(r * ell, ell, q)
+    found, scheme = min_io_exhaustive(ctx, r, star=star, workers=1)
+    assert found == cost
+    assert scheme.to_dict() == witness.to_dict()
+
+
+def _merge(results):
+    bests = [best for _, best in results if best is not None]
+    return sum(count for count, _ in results), min(bests) if bests else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scan_cut_into_two_gray_ranges_matches_whole(data):
+    q, ell, r = data.draw(st.sampled_from([(2, 3, 2), (3, 2, 2), (3, 2, 3), (5, 2, 2)]))
+    ctx = FieldContext(q, ell)
+    star = data.draw(st.integers(1, ctx.order))
+    m = r * ell
+    pivots = data.draw(st.sampled_from([p for p in combinations(range(m), ell)
+                                        if search._free_cells(p, m)]))
+    size = q ** len(search._free_cells(pivots, m))
+    cut = data.draw(st.integers(1, size - 1))
+    whole = search._scan(ctx, r, star, [(pivots, 0, size)])
+    halves = [
+        search._scan(ctx, r, star, [(pivots, 0, cut)]),
+        search._scan(ctx, r, star, [(pivots, cut, size)]),
+    ]
+    assert whole[0] == size
+    assert _merge(halves) == whole
+
+
+@pytest.mark.parametrize("q,ell,r", [(2, 3, 3), (3, 3, 2), (5, 2, 3), (2, 2, 2), (3, 1, 2)])
+@pytest.mark.parametrize("workers", [1, 2, 3, 5])
+def test_split_is_exact_and_balanced(q, ell, r, workers):
+    m = r * ell
+    items = [(p, 0, q ** len(search._free_cells(p, m))) for p in combinations(range(m), ell)]
+    total = gaussian_binomial(m, ell, q)
+    loads = search._split(items, workers)
+    weights = [sum(stop - start for _, start, stop in load) for load in loads]
+    assert sum(weights) == total
+    assert len(loads) <= workers
+    assert max(weights) <= -(-total // workers)
+    # every pattern's counter range is covered exactly once, in order
+    pieces = {}
+    for load in loads:
+        for pivots, start, stop in load:
+            assert 0 <= start < stop
+            pieces.setdefault(pivots, []).append((start, stop))
+    for pivots, _, size in items:
+        spans = pieces[pivots]
+        assert spans[0][0] == 0 and spans[-1][1] == size
+        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+
+
+def test_split_loads_scan_to_the_serial_result():
+    ctx, r, star = GF9, 3, 4
+    m = r * ctx.ell
+    items = [(p, 0, 3 ** len(search._free_cells(p, m))) for p in combinations(range(m), 2)]
+    serial = search._scan(ctx, r, star, items)
+    assert serial[0] == gaussian_binomial(m, 2, 3)
+    for workers in (2, 3, 7):
+        loads = search._split(items, workers)
+        assert _merge([search._scan(ctx, r, star, load) for load in loads]) == serial
 
 
 def test_worker_env_cap(monkeypatch):

@@ -6,36 +6,37 @@ routes to the I/O cost (direct column counting and the weight-of-rowspace formul
 It also builds low-I/O schemes from subspace-annihilating linearized polynomials
 and searches scheme space exhaustively for certified minima.
 """
-from .fieldmath import FieldContext, coset_weight, poly_eval, support, weight
+from .fieldmath import FieldContext, coset_weight
+from .linalg import rank
 from .rs import RSCode
-from .scheme import CostReport, RepairScheme
-from .qpoly import qp_eval, qp_image, qp_kernel, solve_annihilator, subspace_intersect_kernels
+from .scheme import RepairScheme
+from .qpoly import qp_image, solve_annihilator, subspace_intersect_kernels
 from .construction import (
+    bandwidth_equals_io,
     build_low_io_scheme,
     compare_baselines,
-    bandwidth_equals_io,
+    has_block_shape,
+    largest_valid_s,
     predicted_cost,
 )
-from .search import gaussian_binomial, min_io_exhaustive, verify_bound
+from .search import VerificationError, gaussian_binomial, min_io_exhaustive, verify_bound
 
 __all__ = [
     "FieldContext",
+    "coset_weight",
+    "rank",
     "RSCode",
     "RepairScheme",
-    "CostReport",
-    "coset_weight",
-    "poly_eval",
-    "support",
-    "weight",
-    "qp_eval",
     "qp_image",
-    "qp_kernel",
     "solve_annihilator",
     "subspace_intersect_kernels",
-    "build_low_io_scheme",
-    "predicted_cost",
     "bandwidth_equals_io",
+    "build_low_io_scheme",
     "compare_baselines",
+    "has_block_shape",
+    "largest_valid_s",
+    "predicted_cost",
+    "VerificationError",
     "gaussian_binomial",
     "min_io_exhaustive",
     "verify_bound",

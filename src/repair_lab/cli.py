@@ -28,16 +28,15 @@ def _parse_int_list(text: str) -> list[int]:
 
 def _context(args) -> FieldContext:
     modulus = _parse_int_list(args.modulus) if args.modulus else None
-    basis = _parse_int_list(args.basis) if getattr(args, "basis", None) else None
+    basis = _parse_int_list(args.basis) if args.basis else None
     return FieldContext(args.q, args.ell, modulus, basis)
 
 
-def _field_flags(sub, basis: bool = True) -> None:
+def _field_flags(sub) -> None:
     sub.add_argument("--q", type=int, required=True, help="subfield size (prime)")
     sub.add_argument("--ell", type=int, required=True, help="extension degree")
     sub.add_argument("--modulus", help="field modulus, ascending coefficients, e.g. 1,1,0,1")
-    if basis:
-        sub.add_argument("--basis", help="working basis as encoded elements, e.g. 1,2,4")
+    sub.add_argument("--basis", help="working basis as encoded elements, e.g. 1,2,4")
 
 
 def _emit(args, payload: dict, human) -> None:
@@ -77,12 +76,19 @@ def _cmd_field_info(args) -> int:
     return 0
 
 
-def _cmd_construct(args) -> int:
+def _construction(args):
+    """(ctx, s, scheme) for --q/--ell/--k/--s, moved to --node."""
     ctx = _context(args)
-    n = ctx.order
-    s = args.s if args.s is not None else largest_valid_s(ctx.q, ctx.ell, n - args.k)
+    s = args.s if args.s is not None else largest_valid_s(ctx.q, ctx.ell, ctx.order - args.k)
     scheme = build_low_io_scheme(ctx, args.k, s)
-    scheme = scheme.translate(args.node) if args.node != 1 else scheme
+    if args.node != 1:
+        scheme = scheme.translate(args.node)
+    return ctx, s, scheme
+
+
+def _cmd_construct(args) -> int:
+    ctx, s, scheme = _construction(args)
+    n = ctx.order
     report = scheme.cost_report().to_dict()
     payload = {
         "s": s,
@@ -121,12 +127,8 @@ def _cmd_cost(args) -> int:
 
 
 def _cmd_repair_demo(args) -> int:
-    ctx = _context(args)
+    ctx, s, scheme = _construction(args)
     n = ctx.order
-    s = args.s if args.s is not None else largest_valid_s(ctx.q, ctx.ell, n - args.k)
-    scheme = build_low_io_scheme(ctx, args.k, s)
-    if args.node != 1:
-        scheme = scheme.translate(args.node)
     codeword = scheme.code.random_codeword(args.seed)
     erased = codeword[args.node - 1]
     punctured = list(codeword)

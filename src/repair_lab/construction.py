@@ -16,8 +16,7 @@ bandwidth for strictly less I/O.
 """
 from __future__ import annotations
 
-from . import linalg
-from .fieldmath import FieldContext
+from .fieldmath import FieldContext, _is_prime
 from .qpoly import qp_image, qp_to_poly, solve_annihilator
 from .rs import RSCode
 from .scheme import RepairScheme
@@ -38,19 +37,27 @@ def largest_valid_s(q: int, ell: int, n_minus_k: int) -> int:
     return s
 
 
-def build_low_io_scheme(ctx: FieldContext, k: int, s: int) -> RepairScheme:
-    """Construct the scheme for the full-length code of dimension k at node 1.
-
-    Requires 0 <= s < ell and n - k >= q^s + 1 (the dual codewords have degree
-    q^s, which must stay below n - k).
-    """
-    n = ctx.order
-    if not 0 <= s < ctx.ell:
-        raise ValueError(f"need 0 <= s < ell={ctx.ell}, got s={s}")
-    if n - k < ctx.q**s + 1:
+def check_feasible(q: int, ell: int, s: int, k: int) -> None:
+    """Raise ValueError unless the construction exists for the full-length code
+    of dimension k over GF(q^ell): q prime, 0 <= s < ell, k >= 1 and
+    n - k >= q^s + 1 (the dual codewords have degree q^s, which must stay
+    below n - k)."""
+    if not _is_prime(q):
+        raise ValueError(f"q must be prime, got {q}")
+    if not 0 <= s < ell:
+        raise ValueError(f"need 0 <= s < ell={ell}, got s={s}")
+    if k < 1:
+        raise ValueError(f"need k >= 1, got k={k}")
+    if q**ell - k < q**s + 1:
         raise ValueError(
-            f"need n - k >= q^s + 1 = {ctx.q ** s + 1}, got n - k = {n - k}"
+            f"need n - k >= q^s + 1 = {q ** s + 1}, got n - k = {q ** ell - k}"
         )
+
+
+def build_low_io_scheme(ctx: FieldContext, k: int, s: int) -> RepairScheme:
+    """Construct the scheme for the full-length code of dimension k at node 1;
+    see check_feasible for the parameters it accepts."""
+    check_feasible(ctx.q, ctx.ell, s, k)
     code = RSCode.full_length(ctx, k)
     duals = []
     for j in range(1, s + 2):
@@ -91,41 +98,19 @@ def has_block_shape(scheme: RepairScheme, s: int, i: int) -> bool:
     return True
 
 
-def diagonal_zero_counts(scheme: RepairScheme, s: int) -> list[int]:
-    """For each of the first s+1 subsymbol columns, how many nodes' I/O matrices
-    have a zero diagonal entry there (the failed node never does)."""
-    counts = []
-    for j in range(s + 1):
-        counts.append(
-            sum(
-                1
-                for i in range(1, scheme.code.n + 1)
-                if scheme.io_matrix(i)[j][j] == 0
-            )
-        )
-    return counts
-
-
 def bandwidth_equals_io(scheme: RepairScheme, s: int) -> dict:
     """Per-helper evidence that transmitted = read for a construction scheme:
     rank, nonzero columns, and the block shape that forces them equal."""
-    per_node = []
-    bandwidth = 0
-    io_cost = 0
-    q = scheme.ctx.q
-    for i in scheme.helpers():
-        w = scheme.io_matrix(i)
-        rank = linalg.rank(w, q)
-        nz = len(linalg.nonzero_columns(w))
-        bandwidth += rank
-        io_cost += nz
-        per_node.append(
-            {"i": i, "rank": rank, "nz": nz, "block_shape": has_block_shape(scheme, s, i)}
-        )
+    report = scheme.cost_report()
+    per_node = [
+        {"i": row["i"], "rank": row["rank"], "nz": row["nz"],
+         "block_shape": has_block_shape(scheme, s, row["i"])}
+        for row in report.per_node
+    ]
     return {
-        "equal": bandwidth == io_cost,
-        "bandwidth": bandwidth,
-        "io_cost": io_cost,
+        "equal": report.bandwidth == report.io_cost,
+        "bandwidth": report.bandwidth,
+        "io_cost": report.io_cost,
         "per_node": per_node,
     }
 
@@ -138,6 +123,7 @@ def compare_baselines(q: int, ell: int, s: int, k: int) -> dict:
     reads fewer subsymbols than trivially decoding k symbols (`below_trivial`
     reports that raw comparison directly).
     """
+    check_feasible(q, ell, s, k)
     n = q**ell
     ours = predicted_cost(q, ell, s)
     return {

@@ -168,7 +168,7 @@ class FieldContext:
     # ---- element encoding -------------------------------------------------
 
     def _check_element(self, a: int) -> None:
-        if not isinstance(a, int) or not 0 <= a < self.order:
+        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
             raise ValueError(f"not a field element: {a!r}")
 
     def digits(self, a: int) -> tuple[int, ...]:
@@ -184,9 +184,6 @@ class FieldContext:
         for d in reversed(list(digits)):
             a = a * self.q + d % self.q
         return a
-
-    def elements(self) -> range:
-        return range(self.order)
 
     # ---- raw polynomial arithmetic (table-free path) ----------------------
 
@@ -222,16 +219,7 @@ class FieldContext:
         if n == 1:
             g = 1
         else:
-            factors = []
-            m, d = n, 2
-            while d * d <= m:
-                if m % d == 0:
-                    factors.append(d)
-                    while m % d == 0:
-                        m //= d
-                d += 1
-            if m > 1:
-                factors.append(m)
+            factors = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
             g = 0
             for cand in range(2, self.order):
                 if all(self._pow_raw(cand, n // p) != 1 for p in factors):
@@ -248,16 +236,10 @@ class FieldContext:
         if acc != 1:
             raise AssertionError("generator search failed")
         self._exp, self._log = exp, log
-        # trace via Frobenius orbits: Tr(a) = a + a^q + ... + a^(q^(ell-1))
-        table = [0] * self.order
-        for a in range(1, self.order):
-            t, b = a, a
-            for _ in range(self.ell - 1):
-                b = exp[(log[b] * self.q) % n] if b else 0
-                t = self._add_raw(t, b)
-            if t >= self.q:
-                raise AssertionError("trace left the subfield")
-            table[a] = t
+        # trace() sums the Frobenius orbit until its table is set
+        table = [self.trace(a) for a in range(self.order)]
+        if max(table) >= self.q:
+            raise AssertionError("trace left the subfield")
         self._trace_table = table
 
     # ---- field operations ---------------------------------------------------
@@ -372,15 +354,6 @@ class FieldContext:
 # ---- vectors over the subfield ------------------------------------------------
 
 
-def support(vec) -> list[int]:
-    """Indices of the nonzero entries."""
-    return [i for i, v in enumerate(vec) if v]
-
-
-def weight(vec) -> int:
-    return sum(1 for v in vec if v)
-
-
 def coset_weight(rows: list[list[int]], y: list[int] | None, q: int) -> tuple[int, int]:
     """Support size and total Hamming weight of the coset y + rowspace(rows).
 
@@ -420,29 +393,6 @@ def poly_eval(ctx: FieldContext, coeffs, x: int) -> int:
     for c in reversed(list(coeffs)):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
-
-
-def poly_add(ctx: FieldContext, a, b) -> list[int]:
-    a, b = list(a), list(b)
-    if len(a) < len(b):
-        a, b = b, a
-    return [ctx.add(x, y) for x, y in zip(a, b + [0] * (len(a) - len(b)))]
-
-
-def poly_scale(ctx: FieldContext, c: int, a) -> list[int]:
-    return [ctx.mul(c, x) for x in a]
-
-
-def poly_mul(ctx: FieldContext, a, b) -> list[int]:
-    a, b = poly_trim(a), poly_trim(b)
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = ctx.add(out[i + j], ctx.mul(x, y))
-    return out
 
 
 def poly_shift(ctx: FieldContext, coeffs, c: int) -> list[int]:

@@ -12,8 +12,6 @@ equal iff their canonical bases are equal tuples.
 """
 from __future__ import annotations
 
-from itertools import product
-
 from . import linalg
 from .fieldmath import FieldContext
 
@@ -42,30 +40,9 @@ def canonical_subspace_basis(ctx: FieldContext, elements) -> tuple[int, ...]:
     return tuple(ctx.from_digits(row) for row in red)
 
 
-def subspace_elements(ctx: FieldContext, basis) -> list[int]:
-    """All q^dim elements of the span (small subspaces only)."""
-    out = []
-    for coeffs in product(range(ctx.q), repeat=len(basis)):
-        a = 0
-        for c, b in zip(coeffs, basis):
-            a = ctx.add(a, ctx.mul(c, b))
-        out.append(a)
-    return sorted(set(out))
-
-
 def qp_image(ctx: FieldContext, thetas) -> tuple[int, ...]:
     """Canonical basis of the image subspace L(F)."""
     return canonical_subspace_basis(ctx, (qp_eval(ctx, thetas, b) for b in ctx.basis))
-
-
-def qp_kernel(ctx: FieldContext, thetas) -> tuple[int, ...]:
-    """Canonical basis of the kernel subspace ker(L)."""
-    cols = [ctx.digits(qp_eval(ctx, thetas, b)) for b in ctx.basis]
-    a = [[cols[i][t] for i in range(ctx.ell)] for t in range(ctx.ell)]
-    null = linalg.nullspace(a, ctx.q)
-    return canonical_subspace_basis(
-        ctx, (ctx.from_basis_coords(v) for v in null)
-    )
 
 
 def _solve_square_field(ctx: FieldContext, m: list[list[int]], rhs: list[int]) -> list[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .fieldmath import FieldContext, poly_deg, poly_eval, poly_mul, poly_trim
+from .fieldmath import FieldContext, poly_deg, poly_eval
 
 
 class RSCode:
@@ -44,40 +44,6 @@ class RSCode:
         if poly_deg(message) >= self.k:
             raise ValueError(f"message degree {poly_deg(message)} >= k={self.k}")
         return [poly_eval(self.ctx, message, a) for a in self.eval_points]
-
-    def interpolate(self, symbols) -> list[int]:
-        """Coefficients of the unique degree < n polynomial through all n symbols."""
-        ctx = self.ctx
-        symbols = list(symbols)
-        if len(symbols) != self.n:
-            raise ValueError(f"expected {self.n} symbols, got {len(symbols)}")
-        master = [1]
-        for a in self.eval_points:
-            master = poly_mul(ctx, master, [ctx.neg(a), 1])
-        out = [0] * self.n
-        for a, y in zip(self.eval_points, symbols):
-            if y == 0:
-                continue
-            # quotient master / (x - a) by synthetic division, then scale
-            quot = [0] * self.n
-            carry = master[self.n]
-            for d in range(self.n - 1, -1, -1):
-                quot[d] = carry
-                carry = ctx.add(master[d], ctx.mul(a, carry))
-            scale = ctx.mul(y, ctx.inv(poly_eval(ctx, quot, a)))
-            for d in range(self.n):
-                out[d] = ctx.add(out[d], ctx.mul(scale, quot[d]))
-        return poly_trim(out)
-
-    def is_codeword(self, symbols) -> bool:
-        return poly_deg(self.interpolate(symbols)) < self.k
-
-    def dual(self) -> "RSCode":
-        """The dual code; defined here only for full-length codes, where it is
-        the evaluation code of dimension n - k on the same points."""
-        if not self.is_full_length:
-            raise ValueError("dual is only available for the full-length code")
-        return RSCode(self.ctx, self.eval_points, self.n - self.k)
 
     def random_message(self, seed: int) -> list[int]:
         rng = random.Random(seed)

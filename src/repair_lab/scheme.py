@@ -13,7 +13,9 @@ nonzero columns of that matrix:
 The I/O cost is also computed by a second, independent route: the total Hamming
 weight of the row space of all per-node matrices stacked side by side, divided by
 q^(ell-1) * (q-1), minus ell.  Keeping both routes separate is the point of this
-module; nothing may shortcut one through the other.
+module; nothing may shortcut one through the other.  Both start from the same
+coordinate expansion, computed once per scheme on first use: the direct route
+reads its per-node nonzero columns, the formula route only the stacked matrix.
 
 Node indices, subsymbol indices, and dual-codeword indices are 1-based in every
 public interface, matching the storage convention (node 1 holds the evaluation
@@ -22,6 +24,7 @@ at zero for full-length codes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import linalg
 from .fieldmath import FieldContext, coset_weight, poly_deg, poly_eval, poly_shift, poly_trim
@@ -63,22 +66,24 @@ class RepairScheme:
 
     def __init__(self, code: RSCode, star: int, duals):
         ctx = code.ctx
-        if not 1 <= star <= code.n:
-            raise ValueError(f"node index must be in 1..{code.n}, got {star}")
+        self.code = code
+        self._check_node(star)
         duals = [poly_trim(g) for g in duals]
         if len(duals) != ctx.ell:
             raise ValueError(f"need exactly ell={ctx.ell} dual codewords, got {len(duals)}")
         for g in duals:
             for c in g:
                 ctx._check_element(c)
-        self.code = code
         self.ctx = ctx
         self.star = star
         self.duals = [tuple(g) for g in duals]
         self.evals = [
             tuple(poly_eval(ctx, g, a) for a in code.eval_points) for g in self.duals
         ]
-        self._recon: list[int] | None = None
+
+    def _check_node(self, i: int) -> None:
+        if not 1 <= i <= self.code.n:
+            raise ValueError(f"node index must be in 1..{self.code.n}, got {i}")
 
     # ---- validity ------------------------------------------------------------
 
@@ -107,39 +112,60 @@ class RepairScheme:
 
     # ---- per-node I/O matrices -------------------------------------------------
 
+    @cached_property
+    def _table(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+        # The coordinate expansion, done once: the stacked ell x n*ell matrix
+        # (node i's I/O matrix in columns (i-1)*ell .. i*ell - 1) and every
+        # node's nonzero columns, 0-based within the node.
+        ell, dual_coords = self.ctx.ell, self.ctx.dual_coords
+        stacked = [[] for _ in range(ell)]
+        columns = []
+        for values in zip(*self.evals):
+            w = [dual_coords(a) for a in values]
+            columns.append(tuple(linalg.nonzero_columns(w)))
+            for row, coords in zip(stacked, w):
+                row.extend(coords)
+        return [tuple(row) for row in stacked], columns
+
     def io_matrix(self, i: int) -> list[list[int]]:
         """ell x ell matrix over B at node i: row j holds the dual-basis
         coordinates of the j-th dual codeword's value there."""
-        if not 1 <= i <= self.code.n:
-            raise ValueError(f"node index must be in 1..{self.code.n}, got {i}")
-        return [list(self.ctx.dual_coords(ev[i - 1])) for ev in self.evals]
+        self._check_node(i)
+        ell = self.ctx.ell
+        stacked, _ = self._table
+        return [list(row[(i - 1) * ell : i * ell]) for row in stacked]
 
     def accessed_subsymbols(self, i: int) -> list[int]:
         """1-based indices of the subsymbols repair reads at helper i."""
+        self._check_node(i)
         if i == self.star:
             raise ValueError("the failed node is not read")
-        return [c + 1 for c in linalg.nonzero_columns(self.io_matrix(i))]
+        _, columns = self._table
+        return [c + 1 for c in columns[i - 1]]
 
     def helpers(self) -> list[int]:
         return [i for i in range(1, self.code.n + 1) if i != self.star]
 
+    def _ranks(self) -> list[int]:
+        q = self.ctx.q
+        return [linalg.rank(self.io_matrix(i), q) for i in self.helpers()]
+
     def bandwidth(self) -> int:
         """Subsymbols transmitted: sum of I/O matrix ranks over the helpers."""
-        q = self.ctx.q
-        return sum(linalg.rank(self.io_matrix(i), q) for i in self.helpers())
+        return sum(self._ranks())
 
     def io_cost_direct(self) -> int:
         """Subsymbols read: sum of nonzero-column counts over the helpers."""
-        return sum(len(linalg.nonzero_columns(self.io_matrix(i))) for i in self.helpers())
+        _, columns = self._table
+        return sum(len(columns[i - 1]) for i in self.helpers())
 
     # ---- the weight-formula route ----------------------------------------------
 
     def stacked_io_matrix(self) -> list[list[int]]:
         """All per-node matrices side by side: ell rows, n*ell columns over B.
         Row j is the full subsymbol-coordinate vector of the j-th dual codeword."""
-        return [
-            [c for a in ev for c in self.ctx.dual_coords(a)] for ev in self.evals
-        ]
+        stacked, _ = self._table
+        return [list(row) for row in stacked]
 
     def io_cost_formula(self) -> int:
         """I/O cost via the row-space weight of the stacked matrix.
@@ -159,17 +185,16 @@ class RepairScheme:
 
     # ---- repair ------------------------------------------------------------------
 
-    def _reconstruction_elements(self) -> list[int]:
+    @cached_property
+    def _recon(self) -> list[int]:
         # mu_j with Tr(g_j(alpha_star) * mu_j') = 1 iff j == j': the columns of
         # the inverse of the failed node's I/O matrix, read in the working basis.
-        if self._recon is None:
-            ctx = self.ctx
-            inv = linalg.inverse(self.io_matrix(self.star), ctx.q)
-            self._recon = [
-                ctx.from_basis_coords(inv[t][j] for t in range(ctx.ell))
-                for j in range(ctx.ell)
-            ]
-        return self._recon
+        ctx = self.ctx
+        inv = linalg.inverse(self.io_matrix(self.star), ctx.q)
+        return [
+            ctx.from_basis_coords(inv[t][j] for t in range(ctx.ell))
+            for j in range(ctx.ell)
+        ]
 
     def repair_transcript(self, symbols) -> tuple[int, dict[int, list[int]]]:
         """Repair the erased symbol, returning (value, subsymbols read per helper).
@@ -185,29 +210,25 @@ class RepairScheme:
             raise ValueError(f"expected {n} symbols, got {len(symbols)}")
         if symbols[self.star - 1] is not None:
             raise ValueError(f"node {self.star} must be erased (None)")
+        stacked, columns = self._table
         reads: dict[int, list[int]] = {}
         totals = [0] * ell
         for i in self.helpers():
             if symbols[i - 1] is None:
                 raise ValueError(f"helper {i} is erased; only node {self.star} may be")
-            w = self.io_matrix(i)
-            cols = linalg.nonzero_columns(w)
+            cols = columns[i - 1]
             if not cols:
                 continue
             stored = ctx.basis_coords(symbols[i - 1])
             reads[i] = [c + 1 for c in cols]
+            base = (i - 1) * ell
             for j in range(ell):
-                row = w[j]
-                totals[j] += sum(row[t] * stored[t] for t in cols)
-        recon = self._reconstruction_elements()
+                row = stacked[j]
+                totals[j] += sum(row[base + t] * stored[t] for t in cols)
         value = 0
-        for j in range(ell):
-            value = ctx.add(value, ctx.mul((-totals[j]) % q, recon[j]))
+        for j, mu in enumerate(self._recon):
+            value = ctx.add(value, ctx.mul((-totals[j]) % q, mu))
         return value, reads
-
-    def execute_repair(self, symbols) -> int:
-        """The erased symbol, recomputed from the helpers' subsymbols."""
-        return self.repair_transcript(symbols)[0]
 
     # ---- translation to another node ------------------------------------------------
 
@@ -219,8 +240,7 @@ class RepairScheme:
             raise ValueError("translation requires the full-length code")
         if self.star != 1:
             raise ValueError("translation starts from a scheme for node 1")
-        if not 1 <= target <= self.code.n:
-            raise ValueError(f"node index must be in 1..{self.code.n}, got {target}")
+        self._check_node(target)
         alpha = self.code.eval_points[target - 1]
         shift = self.ctx.neg(alpha)
         duals = [poly_shift(self.ctx, g, shift) for g in self.duals]
@@ -231,14 +251,8 @@ class RepairScheme:
     def cost_report(self) -> CostReport:
         q, ell = self.ctx.q, self.ctx.ell
         per_node = []
-        bandwidth = 0
-        io_cost = 0
-        for i in self.helpers():
-            w = self.io_matrix(i)
-            rank = linalg.rank(w, q)
-            cols = [c + 1 for c in linalg.nonzero_columns(w)]
-            bandwidth += rank
-            io_cost += len(cols)
+        for i, rank in zip(self.helpers(), self._ranks()):
+            cols = self.accessed_subsymbols(i)
             per_node.append({"i": i, "rank": rank, "nz": len(cols), "cols": cols})
         return CostReport(
             q=q,
@@ -246,8 +260,8 @@ class RepairScheme:
             n=self.code.n,
             k=self.code.k,
             node=self.star,
-            bandwidth=bandwidth,
-            io_cost=io_cost,
+            bandwidth=sum(row["rank"] for row in per_node),
+            io_cost=sum(row["nz"] for row in per_node),
             io_cost_formula=self.io_cost_formula(),
             per_node=per_node,
         )

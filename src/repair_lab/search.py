@@ -19,10 +19,10 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
-from itertools import accumulate, combinations, product, repeat
+from itertools import accumulate, combinations, repeat
 from operator import or_
 
-from .construction import build_low_io_scheme, predicted_cost
+from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
 from .fieldmath import FieldContext
 from .rs import RSCode
 from .scheme import RepairScheme
@@ -61,21 +61,6 @@ def _free_cells(pivots: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     ]
 
 
-def iter_echelon_bases(m: int, k: int, q: int):
-    """Every k x m reduced-echelon basis matrix over GF(q), one per subspace,
-    as tuples of row tuples."""
-    for pivots in combinations(range(m), k):
-        cells = _free_cells(pivots, m)
-        base = [[0] * m for _ in range(k)]
-        for r, p in enumerate(pivots):
-            base[r][p] = 1
-        for assignment in product(range(q), repeat=len(cells)):
-            rows = [row[:] for row in base]
-            for (r, c), v in zip(cells, assignment):
-                rows[r][c] = v
-            yield tuple(tuple(row) for row in rows)
-
-
 # ---- candidate spaces -------------------------------------------------------------
 
 
@@ -107,14 +92,6 @@ def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
         ]
         duals.append(coeffs)
     return RepairScheme(code, star, duals)
-
-
-def iter_valid_schemes(ctx: FieldContext, r: int, star: int = 1):
-    """All distinct valid schemes (one per dual-codeword span) — small spaces only."""
-    for rows in iter_echelon_bases(r * ctx.ell, ctx.ell, ctx.q):
-        scheme = _rows_to_scheme(ctx, rows, r, star)
-        if scheme.validate() is None:
-            yield scheme
 
 
 def _split(items, workers: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
@@ -302,9 +279,7 @@ def verify_bound(
         bound = (n - 1) * ell - n - 2 ** (ell - 3)
     else:
         raise ValueError(f"no certified bound for r={r}")
-    s = 0
-    while q ** (s + 1) <= r - 1:
-        s += 1
+    s = largest_valid_s(q, ell, r)
     scheme = build_low_io_scheme(ctx, n - r, s)
     construction = scheme.io_cost_direct()
     if construction != predicted_cost(q, ell, s):

@@ -266,6 +266,25 @@ def test_compare_human_output(capsys):
     assert "trivial repair io cost:  18" in out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (("--q", "2", "--ell", "3", "--s", "5", "--k", "3"), "s < ell"),
+        (("--q", "2", "--ell", "3", "--s", "0", "--k", "100"), "n - k"),
+        (("--q", "4", "--ell", "3", "--s", "0", "--k", "3"), "prime"),
+        (("--q", "2", "--ell", "3", "--s", "-1", "--k", "3"), "0 <= s"),
+        (("--q", "2", "--ell", "3", "--s", "0", "--k", "0"), "k >= 1"),
+    ],
+    ids=["s-too-large", "k-too-large", "q-not-prime", "s-negative", "k-zero"],
+)
+def test_compare_infeasible_parameters_exit_2(capsys, flags, message):
+    code, out, err = _run(capsys, "compare", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "repair_lab", "--json", "field-info", "--q", "3", "--ell", "2"],

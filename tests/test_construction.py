@@ -4,12 +4,13 @@ from repair_lab.construction import (
     bandwidth_equals_io,
     build_low_io_scheme,
     compare_baselines,
-    diagonal_zero_counts,
     has_block_shape,
     largest_valid_s,
     predicted_cost,
 )
 from repair_lab.fieldmath import FieldContext
+
+from oracles import diagonal_zero_counts
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -65,6 +66,8 @@ def test_parameter_validation():
         build_low_io_scheme(GF8, 5, -1)
     with pytest.raises(ValueError, match="n - k"):
         build_low_io_scheme(GF4, 3, 1)  # needs n - k >= q + 1 = 3
+    with pytest.raises(ValueError, match="k >= 1"):
+        build_low_io_scheme(GF8, 0, 0)
 
 
 def test_tail_dual_codewords_are_constants():

@@ -9,12 +9,12 @@ from repair_lab.qpoly import (
     canonical_subspace_basis,
     qp_eval,
     qp_image,
-    qp_kernel,
     qp_to_poly,
     solve_annihilator,
-    subspace_elements,
     subspace_intersect_kernels,
 )
+
+from oracles import qp_kernel, subspace_elements
 
 GF8 = FieldContext(2, 3)
 GF27 = FieldContext(3, 3)

@@ -3,8 +3,10 @@ from itertools import combinations
 
 import pytest
 
-from repair_lab.fieldmath import FieldContext, poly_eval, poly_mul, poly_trim
+from repair_lab.fieldmath import FieldContext, poly_eval, poly_trim
 from repair_lab.rs import RSCode
+
+from oracles import interpolate, is_codeword, poly_mul
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -18,6 +20,8 @@ def test_constructor_validation():
         RSCode(GF8, [0, 1, 2], 3)
     with pytest.raises(ValueError, match="k"):
         RSCode(GF8, [0, 1, 2], 0)
+    with pytest.raises(ValueError, match="element"):
+        RSCode(GF8, [False, True, 2], 1)
 
 
 def test_full_length_layout():
@@ -54,39 +58,29 @@ def test_interpolate_inverts_encode(ctx, k):
     code = RSCode.full_length(ctx, k)
     for seed in range(10):
         msg = code.random_message(seed)
-        assert code.interpolate(code.encode(msg)) == poly_trim(msg)
+        assert interpolate(code, code.encode(msg)) == poly_trim(msg)
 
 
 def test_interpolate_arbitrary_vector_roundtrip():
     code = RSCode.full_length(GF8, 5)
     rng = random.Random(1)
     symbols = [rng.randrange(8) for _ in range(8)]
-    f = code.interpolate(symbols)
+    f = interpolate(code, symbols)
     assert [poly_eval(GF8, f, a) for a in code.eval_points] == symbols
 
 
 def test_is_codeword():
     code = RSCode.full_length(GF8, 6)  # n - k = 2
-    assert code.is_codeword([0] * 8)
-    assert code.is_codeword(code.random_codeword(3))
+    assert is_codeword(code, [0] * 8)
+    assert is_codeword(code, code.random_codeword(3))
     e1 = [1] + [0] * 7
-    assert not code.is_codeword(e1)
-
-
-def test_dual_dimensions():
-    code = RSCode.full_length(GF8, 5)
-    dual = code.dual()
-    assert dual.k == 3
-    assert dual.dual().k == 5
-    short = RSCode(GF8, [0, 1, 2, 3], 2)
-    with pytest.raises(ValueError, match="full-length"):
-        short.dual()
+    assert not is_codeword(code, e1)
 
 
 def test_dual_codewords_are_orthogonal():
     ctx = GF8
     code = RSCode.full_length(ctx, 5)
-    dual = code.dual()
+    dual = RSCode(ctx, code.eval_points, code.n - code.k)
     for seed in range(100):
         c = code.random_codeword(seed)
         d = dual.random_codeword(seed + 1000)
@@ -137,4 +131,4 @@ def test_random_codeword_reproducible():
     words = {tuple(code.random_codeword(seed)) for seed in range(3)}
     assert len(words) == 3
     for w in words:
-        assert code.is_codeword(list(w))
+        assert is_codeword(code, list(w))

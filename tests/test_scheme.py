@@ -8,7 +8,8 @@ from repair_lab.construction import build_low_io_scheme
 from repair_lab.fieldmath import FieldContext, coset_weight
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import iter_valid_schemes
+
+from oracles import io_matrix_oracle, iter_valid_schemes
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -46,6 +47,8 @@ def test_constructor_checks():
         RepairScheme(code, 1, [[1], [2]])
     with pytest.raises(ValueError, match="element"):
         RepairScheme(code, 1, [[99], [1], [2]])
+    with pytest.raises(ValueError, match="element"):
+        RepairScheme(code, 1, [[True], [2], [4]])
 
 
 def test_trivial_scheme_is_valid():
@@ -108,6 +111,50 @@ def test_accessed_subsymbols():
         assert scheme.accessed_subsymbols(i) == [1, 2, 3]
     with pytest.raises(ValueError, match="failed"):
         scheme.accessed_subsymbols(scheme.star)
+
+
+def test_io_table_matches_the_direct_expansion():
+    from repair_lab import linalg
+
+    schemes = [
+        *_random_valid_schemes(GF8, 2, 5, seed=27),
+        *_random_valid_schemes(GF8, 3, 5, seed=28),
+        *_random_valid_schemes(GF9, 2, 5, seed=29),
+        *_random_valid_schemes(GF9, 3, 5, seed=30),
+        build_low_io_scheme(FieldContext(2, 4), 11, 2).translate(6),
+    ]
+    for scheme in schemes:
+        q, n = scheme.ctx.q, scheme.code.n
+        oracle = {i: io_matrix_oracle(scheme, i) for i in range(1, n + 1)}
+        for i in range(1, n + 1):
+            assert scheme.io_matrix(i) == oracle[i]
+        helpers = scheme.helpers()
+        ranks = [linalg.rank(oracle[i], q) for i in helpers]
+        cols = [[c + 1 for c in linalg.nonzero_columns(oracle[i])] for i in helpers]
+        assert scheme.bandwidth() == sum(ranks)
+        assert scheme.io_cost_direct() == sum(len(c) for c in cols)
+        report = scheme.cost_report()
+        assert report.per_node == [
+            {"i": i, "rank": rank, "nz": len(c), "cols": c}
+            for i, rank, c in zip(helpers, ranks, cols)
+        ]
+
+
+def test_io_matrix_copies_cannot_corrupt_the_scheme():
+    scheme = build_low_io_scheme(GF8, 5, 1)
+    word = scheme.code.random_codeword(5)
+    erased = word[0]
+    word[0] = None
+    before = (scheme.cost_report().to_dict(), scheme.repair_transcript(word))
+    for i in range(1, scheme.code.n + 1):
+        w = scheme.io_matrix(i)
+        for row in w:
+            row[:] = [1] * len(row)
+        w.append([0] * len(w[0]))
+    scheme.stacked_io_matrix()[0][0] ^= 1
+    after = (scheme.cost_report().to_dict(), scheme.repair_transcript(word))
+    assert after == before
+    assert after[1][0] == erased
 
 
 # ---- the two cost routes -----------------------------------------------------
@@ -186,7 +233,7 @@ def test_repair_zero_codeword():
     scheme = _trivial_scheme(GF8, 5)
     word = [0] * 8
     word[0] = None
-    assert scheme.execute_repair(word) == 0
+    assert scheme.repair_transcript(word)[0] == 0
 
 
 def test_repair_exhaustive_small_code():
@@ -198,7 +245,7 @@ def test_repair_exhaustive_small_code():
             word = scheme.code.encode(list(msg))
             erased = word[target - 1]
             word[target - 1] = None
-            assert scheme.execute_repair(word) == erased
+            assert scheme.repair_transcript(word)[0] == erased
 
 
 def test_repair_exhaustive_all_messages_gf8():
@@ -209,7 +256,7 @@ def test_repair_exhaustive_all_messages_gf8():
         word = code.encode(list(msg))
         erased = word[0]
         word[0] = None
-        assert scheme.execute_repair(word) == erased
+        assert scheme.repair_transcript(word)[0] == erased
 
 
 def test_repair_reads_match_reported_columns():
@@ -232,15 +279,15 @@ def test_repair_input_validation():
     scheme = _trivial_scheme(GF8, 5)
     word = scheme.code.random_codeword(1)
     with pytest.raises(ValueError, match="erased"):
-        scheme.execute_repair(word)  # nothing erased
+        scheme.repair_transcript(word)  # nothing erased
     short = [None] + [0] * 5
     with pytest.raises(ValueError, match="symbols"):
-        scheme.execute_repair(short)
+        scheme.repair_transcript(short)
     two_gone = list(word)
     two_gone[0] = None
     two_gone[3] = None
     with pytest.raises(ValueError, match="helper"):
-        scheme.execute_repair(two_gone)
+        scheme.repair_transcript(two_gone)
 
 
 # ---- translation -----------------------------------------------------------------
@@ -277,7 +324,7 @@ def test_translate_then_repair():
         word = moved.code.random_codeword(target)
         erased = word[target - 1]
         word[target - 1] = None
-        assert moved.execute_repair(word) == erased
+        assert moved.repair_transcript(word)[0] == erased
 
 
 def test_translate_requirements():

@@ -9,11 +9,11 @@ from repair_lab import search
 from repair_lab.search import (
     VerificationError,
     gaussian_binomial,
-    iter_echelon_bases,
-    iter_valid_schemes,
     min_io_exhaustive,
     verify_bound,
 )
+
+from oracles import iter_echelon_bases, iter_valid_schemes
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)

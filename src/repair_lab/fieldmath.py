@@ -6,9 +6,17 @@ plain integer sum(d_i * q**i), so 0 and 1 are the field's zero and one, the inte
 0..q-1 are exactly the subfield B, and for q=2 the encoding is the usual bit packing.
 
 A FieldContext fixes q, ell, the modulus, and a working basis of F over B (default:
-the polynomial basis 1, x, ..., x^{ell-1}).  The context precomputes discrete
-log/antilog and trace tables when the field is small enough; larger fields fall back
-to direct polynomial arithmetic.  All arithmetic is exact — no floating point.
+the polynomial basis 1, x, ..., x^{ell-1}).  When the field is small enough the
+context precomputes discrete log/antilog and trace tables, and on first use an
+element -> coordinate table for each expansion below; larger fields fall back to
+direct polynomial arithmetic.  All arithmetic is exact — no floating point.
+
+Every table is filled by linearity over B.  The trace, multiplication by the
+generator g and both coordinate expansions are B-linear maps f, so f is fixed by
+its ell values at the monomials q^j, and the rest follows in integer order, one
+addition per element: f(a) = f(a - q^h) + f(q^h), where q^h is the highest power
+of q not above a.  The antilog table then walks g^(i+1) = (g * .)(g^i) through
+the tabulated multiplication by g.
 
 Coordinate expansions come in two flavours that are easy to mix up:
 
@@ -20,6 +28,8 @@ Coordinate expansions come in two flavours that are easy to mix up:
 Contexts are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
+
+from operator import xor
 
 from . import linalg
 
@@ -67,6 +77,10 @@ _DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
     (5, 11): (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (5, 12): (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
 }
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _is_prime(n: int) -> bool:
@@ -123,10 +137,10 @@ class FieldContext:
         modulus: list[int] | tuple[int, ...] | None = None,
         basis: list[int] | tuple[int, ...] | None = None,
     ):
-        if not _is_prime(q):
-            raise ValueError(f"q must be prime, got {q}")
-        if ell < 1:
-            raise ValueError(f"ell must be >= 1, got {ell}")
+        if not _is_int(q) or not _is_prime(q):
+            raise ValueError(f"q must be prime, got {q!r}")
+        if not _is_int(ell) or ell < 1:
+            raise ValueError(f"ell must be an integer >= 1, got {ell!r}")
         self.q = q
         self.ell = ell
         self.order = q**ell
@@ -137,7 +151,9 @@ class FieldContext:
                 raise ValueError(
                     f"no built-in modulus for q={q}, ell={ell}; supply one explicitly"
                 ) from None
-        modulus = tuple(int(c) % q for c in modulus)
+        if not all(_is_int(c) for c in modulus):
+            raise ValueError(f"modulus coefficients must be integers, got {list(modulus)!r}")
+        modulus = tuple(c % q for c in modulus)
         if len(modulus) != ell + 1:
             raise ValueError(f"modulus must have degree {ell}")
         if modulus[-1] != 1:
@@ -148,13 +164,16 @@ class FieldContext:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._trace_table: list[int] | None = None
+        # element -> dual_coords / basis_coords, filled on first use
+        self._dual_table: list[tuple[int, ...]] | None = None
+        self._basis_table: list[tuple[int, ...]] | None = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
 
         if basis is None:
             basis = tuple(q**i for i in range(ell))
         else:
-            basis = tuple(int(b) for b in basis)
+            basis = tuple(basis)
             if len(basis) != ell:
                 raise ValueError(f"basis must have {ell} elements")
             for b in basis:
@@ -168,7 +187,7 @@ class FieldContext:
     # ---- element encoding -------------------------------------------------
 
     def _check_element(self, a: int) -> None:
-        if not isinstance(a, int) or isinstance(a, bool) or not 0 <= a < self.order:
+        if not _is_int(a) or not 0 <= a < self.order:
             raise ValueError(f"not a field element: {a!r}")
 
     def digits(self, a: int) -> tuple[int, ...]:
@@ -214,8 +233,22 @@ class FieldContext:
 
     # ---- tables ------------------------------------------------------------
 
+    def _linear_table(self, images, add) -> list[int]:
+        """Values at every element of the B-linear map with values `images` at
+        the monomials q^0 .. q^(ell-1), given the addition of its values: the
+        block [d*q^h, (d+1)*q^h) is the block below it plus f(q^h)."""
+        table = [0]
+        for image in images:
+            size = len(table)
+            for _ in range(self.q - 1):
+                table.extend([add(v, image) for v in table[-size:]])
+        return table
+
+    def _add_scalar(self, x: int, y: int) -> int:
+        return (x + y) % self.q
+
     def _build_tables(self) -> None:
-        n = self.order - 1
+        q, n = self.q, self.order - 1
         if n == 1:
             g = 1
         else:
@@ -225,6 +258,9 @@ class FieldContext:
                 if all(self._pow_raw(cand, n // p) != 1 for p in factors):
                     g = cand
                     break
+        monomials = [q**j for j in range(self.ell)]
+        add, add_scalar = (xor, xor) if q == 2 else (self._add_raw, self._add_scalar)
+        times_g = self._linear_table([self._mul_raw(g, m) for m in monomials], add)
         exp = [0] * (2 * n)
         log = [0] * self.order
         acc = 1
@@ -232,15 +268,27 @@ class FieldContext:
             exp[i] = acc
             exp[i + n] = acc
             log[acc] = i
-            acc = self._mul_raw(acc, g)
+            acc = times_g[acc]
         if acc != 1:
             raise AssertionError("generator search failed")
         self._exp, self._log = exp, log
         # trace() sums the Frobenius orbit until its table is set
-        table = [self.trace(a) for a in range(self.order)]
-        if max(table) >= self.q:
+        table = self._linear_table([self.trace(m) for m in monomials], add_scalar)
+        if max(table) >= q:
             raise AssertionError("trace left the subfield")
         self._trace_table = table
+
+    def _coord_table(self, elements) -> list[tuple[int, ...]]:
+        """a -> (Tr(a * e) for e in elements) at every element a, one linear
+        table per coordinate."""
+        q = self.q
+        add = xor if q == 2 else self._add_scalar
+        monomials = [q**j for j in range(self.ell)]
+        columns = [
+            self._linear_table([self.trace(self.mul(m, e)) for m in monomials], add)
+            for e in elements
+        ]
+        return list(zip(*columns))
 
     # ---- field operations ---------------------------------------------------
 
@@ -330,11 +378,21 @@ class FieldContext:
 
     def basis_coords(self, a: int) -> tuple[int, ...]:
         """Coefficients of a in the working basis (a node's stored subsymbols)."""
-        return tuple(self.trace(self.mul(a, g)) for g in self.dual_basis)
+        table = self._basis_table
+        if table is None:
+            if self._exp is None:
+                return tuple(self.trace(self.mul(a, g)) for g in self.dual_basis)
+            table = self._basis_table = self._coord_table(self.dual_basis)
+        return table[a]
 
     def dual_coords(self, a: int) -> tuple[int, ...]:
         """Traces of a against the working basis = coefficients in the dual basis."""
-        return tuple(self.trace(self.mul(a, b)) for b in self.basis)
+        table = self._dual_table
+        if table is None:
+            if self._exp is None:
+                return tuple(self.trace(self.mul(a, b)) for b in self.basis)
+            table = self._dual_table = self._coord_table(self.basis)
+        return table[a]
 
     def from_basis_coords(self, coords) -> int:
         a = 0

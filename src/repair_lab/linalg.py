@@ -33,7 +33,25 @@ def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
 
 
 def rank(rows: list[list[int]], p: int) -> int:
-    return len(rref(rows, p)[0])
+    if p != 2:
+        return len(rref(rows, p)[0])
+    # GF(2): one byte per entry packed into an int, keeping each byte's low
+    # bit, then elimination by XOR on the lowest set bit of each pivot row
+    if not rows:
+        return 0
+    ones = int.from_bytes(b"\x01" * len(rows[0]), "little")
+    try:
+        packed = [int.from_bytes(bytes(row), "little") & ones for row in rows]
+    except ValueError:  # an entry outside 0..255
+        packed = [int.from_bytes(bytes(x & 1 for x in row), "little") for row in rows]
+    r = 0
+    while packed:
+        v = packed.pop()
+        if v:
+            low = v & -v
+            packed = [w ^ v if w & low else w for w in packed]
+            r += 1
+    return r
 
 
 def solve(a: list[list[int]], b: list[int], p: int) -> list[int] | None:
@@ -76,6 +94,4 @@ def nullspace(a: list[list[int]], p: int) -> list[list[int]]:
 
 def nonzero_columns(rows: list[list[int]]) -> list[int]:
     """Indices of columns holding at least one nonzero entry."""
-    if not rows:
-        return []
-    return [c for c in range(len(rows[0])) if any(row[c] for row in rows)]
+    return [c for c, column in enumerate(zip(*rows)) if any(column)]

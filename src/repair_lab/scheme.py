@@ -27,7 +27,15 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
-from .fieldmath import FieldContext, coset_weight, poly_deg, poly_eval, poly_shift, poly_trim
+from .fieldmath import (
+    FieldContext,
+    _is_int,
+    coset_weight,
+    poly_deg,
+    poly_eval,
+    poly_shift,
+    poly_trim,
+)
 from .rs import RSCode
 
 
@@ -77,13 +85,16 @@ class RepairScheme:
         self.ctx = ctx
         self.star = star
         self.duals = [tuple(g) for g in duals]
-        self.evals = [
-            tuple(poly_eval(ctx, g, a) for a in code.eval_points) for g in self.duals
-        ]
+
+    @cached_property
+    def evals(self) -> list[tuple[int, ...]]:
+        """Every dual codeword's values at every node, computed on first use."""
+        points = self.code.eval_points
+        return [tuple(poly_eval(self.ctx, g, a) for a in points) for g in self.duals]
 
     def _check_node(self, i: int) -> None:
-        if not 1 <= i <= self.code.n:
-            raise ValueError(f"node index must be in 1..{self.code.n}, got {i}")
+        if not _is_int(i) or not 1 <= i <= self.code.n:
+            raise ValueError(f"node index must be an integer in 1..{self.code.n}, got {i!r}")
 
     # ---- validity ------------------------------------------------------------
 
@@ -96,7 +107,8 @@ class RepairScheme:
                     f"dual codeword {j} has degree {poly_deg(g)}, "
                     f"outside the dual code (max {bound})"
                 )
-        coords = [list(self.ctx.digits(ev[self.star - 1])) for ev in self.evals]
+        alpha = self.code.eval_points[self.star - 1]
+        coords = [list(self.ctx.digits(poly_eval(self.ctx, g, alpha))) for g in self.duals]
         r = linalg.rank(coords, self.ctx.q)
         if r != self.ctx.ell:
             return (
@@ -146,13 +158,19 @@ class RepairScheme:
     def helpers(self) -> list[int]:
         return [i for i in range(1, self.code.n + 1) if i != self.star]
 
+    @cached_property
     def _ranks(self) -> list[int]:
-        q = self.ctx.q
-        return [linalg.rank(self.io_matrix(i), q) for i in self.helpers()]
+        # every helper's I/O matrix rank, in helpers() order
+        ell, q = self.ctx.ell, self.ctx.q
+        stacked, _ = self._table
+        return [
+            linalg.rank([row[(i - 1) * ell : i * ell] for row in stacked], q)
+            for i in self.helpers()
+        ]
 
     def bandwidth(self) -> int:
         """Subsymbols transmitted: sum of I/O matrix ranks over the helpers."""
-        return sum(self._ranks())
+        return sum(self._ranks)
 
     def io_cost_direct(self) -> int:
         """Subsymbols read: sum of nonzero-column counts over the helpers."""
@@ -251,7 +269,7 @@ class RepairScheme:
     def cost_report(self) -> CostReport:
         q, ell = self.ctx.q, self.ctx.ell
         per_node = []
-        for i, rank in zip(self.helpers(), self._ranks()):
+        for i, rank in zip(self.helpers(), self._ranks):
             cols = self.accessed_subsymbols(i)
             per_node.append({"i": i, "rank": rank, "nz": len(cols), "cols": cols})
         return CostReport(
@@ -286,16 +304,13 @@ class RepairScheme:
     def from_dict(cls, data: dict) -> "RepairScheme":
         """Inverse of to_dict; raises ValueError on any malformed input."""
 
-        def is_int(x) -> bool:
-            return isinstance(x, int) and not isinstance(x, bool)
-
         def is_int_list(x) -> bool:
-            return isinstance(x, list) and all(is_int(v) for v in x)
+            return isinstance(x, list) and all(_is_int(v) for v in x)
 
         if not isinstance(data, dict):
             raise ValueError("a scheme must be a JSON object")
         for key in ("q", "ell", "k", "star"):
-            if not is_int(data.get(key)):
+            if not _is_int(data.get(key)):
                 raise ValueError(f"scheme field {key!r} must be an integer")
         for key in ("modulus", "basis"):
             if data.get(key) is not None and not is_int_list(data[key]):

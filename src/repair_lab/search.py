@@ -197,6 +197,11 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     return count, best
 
 
+def _check_workers(workers: int | None) -> None:
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def _resolve_workers(workers: int | None, nitems: int) -> int:
     if workers is None:
         workers = os.cpu_count() or 1
@@ -217,8 +222,10 @@ def min_io_exhaustive(
     full-length code with n - k = r parities, plus a witness scheme achieving it
     (the one with lexicographically smallest echelon basis).
 
-    Raises ValueError when the subspace count exceeds the cap.
+    Raises ValueError when the subspace count exceeds the cap or workers < 1
+    (None means one per CPU).
     """
+    _check_workers(workers)
     n, ell, q = ctx.order, ctx.ell, ctx.q
     if not 2 <= r <= n - 1:
         raise ValueError(f"need 2 <= r <= n-1, got r={r}")
@@ -266,8 +273,9 @@ def verify_bound(
 
     Bounds: r=2 for any q; r=3 for q=2 (and ell >= 3).  Raises
     VerificationError if the exhaustive minimum ever undercuts the bound or the
-    construction undercuts the minimum.
+    construction undercuts the minimum.  Raises ValueError for workers < 1.
     """
+    _check_workers(workers)
     n, ell, q = ctx.order, ctx.ell, ctx.q
     if r == 2:
         bound = (n - 1) * ell - q ** (ell - 1)

@@ -8,13 +8,46 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from repair_lab import linalg
-from repair_lab.fieldmath import FieldContext, poly_deg, poly_eval, poly_trim
+from repair_lab.fieldmath import FieldContext, _is_prime, poly_deg, poly_eval, poly_trim
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
 from repair_lab.search import _free_cells, _rows_to_scheme
 
 # ---- field and polynomials ---------------------------------------------------------
+
+
+def field_tables_oracle(ctx: FieldContext) -> tuple[list[int], list[int], list[int]]:
+    """The antilog, log and trace tables built element by element: the smallest
+    primitive element g, its powers by repeated multiplication, and each
+    element's trace as the sum of its Frobenius orbit, all in raw polynomial
+    arithmetic."""
+    n = ctx.order - 1
+    factors = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+    g = next(
+        (c for c in range(2, ctx.order) if all(ctx._pow_raw(c, n // p) != 1 for p in factors)),
+        1,
+    )
+    exp, log = [0] * (2 * n), [0] * ctx.order
+    acc = 1
+    for i in range(n):
+        exp[i] = exp[i + n] = acc
+        log[acc] = i
+        acc = ctx._mul_raw(acc, g)
+    assert acc == 1, "g is not primitive"
+    trace = []
+    for a in range(ctx.order):
+        t, b = a, a
+        for _ in range(ctx.ell - 1):
+            b = ctx._pow_raw(b, ctx.q)
+            t = ctx._add_raw(t, b)
+        trace.append(t)
+    return exp, log, trace
+
+
+def coords_oracle(ctx: FieldContext, trace: list[int], a: int, elements) -> tuple[int, ...]:
+    """(Tr(a * e) for e in elements), with a trace table from field_tables_oracle."""
+    return tuple(trace[ctx._mul_raw(a, e)] for e in elements)
 
 
 def poly_mul(ctx: FieldContext, a, b) -> list[int]:

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from repair_lab import cli
+from repair_lab.scheme import RepairScheme
 from repair_lab.search import VerificationError
 
 
@@ -221,6 +222,17 @@ def test_search_min_json(capsys):
     assert payload["cost_report"]["io_cost"] == 4
 
 
+@pytest.mark.parametrize("command", ["search-min", "verify"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_2(capsys, command, workers):
+    code, out, err = _run(
+        capsys, command, "--q", "2", "--ell", "2", "--r", "2", "--workers", workers
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
 def test_verify_human(capsys):
     code, out, _ = _run(capsys, "verify", "--q", "2", "--ell", "2", "--r", "2")
     assert code == 0
@@ -283,6 +295,25 @@ def test_compare_infeasible_parameters_exit_2(capsys, flags, message):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+def test_construct_at_full_length_n1024(capsys):
+    # q=2, ell=10: every node of the length-1024 code is a helper but one
+    payload = _run_json(
+        capsys, "construct", "--q", "2", "--ell", "10", "--k", "1020", "--s", "1",
+        "--node", "517",
+    )
+    report = payload["cost_report"]
+    assert payload["io_cost"] == report["io_cost_formula"] == payload["bandwidth"] == 9206
+    assert len(report["per_node"]) == 1023
+    scheme = RepairScheme.from_dict(payload["scheme"])
+    assert scheme.star == 517
+    word = scheme.code.random_codeword(2017)
+    punctured = list(word)
+    punctured[516] = None
+    value, reads = scheme.repair_transcript(punctured)
+    assert value == word[516]
+    assert sum(len(cols) for cols in reads.values()) == 9206
 
 
 def test_module_entry_point():

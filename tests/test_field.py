@@ -12,7 +12,7 @@ from repair_lab.fieldmath import (
     poly_trim,
 )
 
-from oracles import poly_mul
+from oracles import coords_oracle, field_tables_oracle, poly_mul
 
 GF4 = FieldContext(2, 2)  # x^2 + x + 1; 2 encodes the modulus root w
 GF8 = FieldContext(2, 3)  # x^3 + x + 1
@@ -72,6 +72,22 @@ def test_modulus_shape_checks():
 def test_dependent_basis_rejected():
     with pytest.raises(ValueError, match="dependent"):
         FieldContext(2, 3, basis=[1, 2, 3])  # 3 = 1 + 2
+
+
+def test_non_integer_basis_and_modulus_rejected():
+    # int() would turn True into 1 and truncate 1.9 to 1
+    with pytest.raises(ValueError, match="element"):
+        FieldContext(2, 3, basis=[True, 2, 4])
+    with pytest.raises(ValueError, match="element"):
+        FieldContext(2, 3, basis=[1.9, 2, 4])
+    with pytest.raises(ValueError, match="integers"):
+        FieldContext(2, 3, modulus=[1.7, 1, 0, True])
+    with pytest.raises(ValueError, match="integers"):
+        FieldContext(2, 3, modulus=[1, 1, 0, True])
+    with pytest.raises(ValueError, match="prime"):
+        FieldContext(2.0, 3)
+    with pytest.raises(ValueError, match="ell"):
+        FieldContext(2, True)
 
 
 def test_describe_format():
@@ -224,6 +240,43 @@ def test_coordinate_map_is_linear():
         assert ctx.basis_coords(ctx.mul(c, a)) == tuple((c * x) % ctx.q for x in pa)
 
 
+# Every table against the element-by-element builders: q in {2, 3, 5}, degree
+# one, a modulus whose root x is not primitive, and non-polynomial bases.
+TABLE_FIELDS = [
+    FieldContext(2, 1),
+    FieldContext(2, 2),
+    FieldContext(2, 3),
+    FieldContext(2, 5),
+    FieldContext(2, 8),
+    FieldContext(2, 4, modulus=[1, 0, 0, 1, 1]),  # x^4 + x^3 + 1
+    FieldContext(2, 4, modulus=[1, 1, 1, 1, 1]),  # x has order 5
+    FieldContext(2, 3, basis=[3, 6, 7]),
+    FieldContext(3, 1),
+    FieldContext(3, 2, modulus=[2, 1, 1]),  # x^2 + x + 2
+    FieldContext(3, 3),
+    FieldContext(3, 4),
+    FieldContext(3, 2, basis=[2, 4]),
+    FieldContext(5, 1),
+    FieldContext(5, 2),
+    FieldContext(5, 3),
+    FieldContext(5, 2, basis=[3, 7]),
+]
+
+
+@pytest.mark.parametrize("ctx", TABLE_FIELDS, ids=lambda c: f"{c.describe()} basis={list(c.basis)}")
+def test_tables_match_the_element_by_element_builders(ctx):
+    exp, log, trace = field_tables_oracle(ctx)
+    assert ctx._exp == exp
+    assert ctx._log == log
+    assert ctx._trace_table == trace
+    fresh = FieldContext(ctx.q, ctx.ell, ctx.modulus, ctx.basis)
+    assert fresh._dual_table is None and fresh._basis_table is None
+    for a in range(ctx.order):
+        assert fresh.dual_coords(a) == coords_oracle(ctx, trace, a, ctx.basis)
+        assert fresh.basis_coords(a) == coords_oracle(ctx, trace, a, ctx.dual_basis)
+    assert len(fresh._dual_table) == len(fresh._basis_table) == ctx.order
+
+
 def test_large_field_without_tables():
     # past the table limit everything falls back to direct polynomial arithmetic
     ctx = FieldContext(5, 8)
@@ -237,6 +290,10 @@ def test_large_field_without_tables():
     # duality spot-checked on a corner of the pairing matrix
     assert ctx.trace(ctx.mul(ctx.basis[0], ctx.dual_basis[0])) == 1
     assert ctx.trace(ctx.mul(ctx.basis[0], ctx.dual_basis[7])) == 0
+    assert ctx.dual_coords(ctx.basis[2]) == tuple(
+        ctx.trace(ctx.mul(ctx.basis[2], b)) for b in ctx.basis
+    )
+    assert ctx._dual_table is None and ctx._basis_table is None
 
 
 # ---- subfield vectors and coset weight ------------------------------------------

@@ -2,6 +2,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repair_lab import linalg
 
@@ -134,3 +136,61 @@ def test_nonzero_columns():
     assert linalg.nonzero_columns([[0, 1, 0], [0, 2, 0]]) == [1]
     assert linalg.nonzero_columns([[0, 0], [0, 0]]) == []
     assert linalg.nonzero_columns([[1, 0, 2]]) == [0, 2]
+    assert linalg.nonzero_columns([]) == []
+    assert linalg.nonzero_columns([[], []]) == []
+
+
+# ---- the packed GF(2) rank against rref ---------------------------------------------
+
+
+def _rref_rank(rows, p):
+    return len(linalg.rref(rows, p)[0])
+
+
+@st.composite
+def _gf2_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 70))
+    bits = draw(st.integers(0, 2 ** (nrows * ncols) - 1))
+    return [[(bits >> (i * ncols + j)) & 1 for j in range(ncols)] for i in range(nrows)]
+
+
+@st.composite
+def _int_matrices(draw):
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 12))
+    entries = draw(st.sampled_from([st.integers(0, 255), st.integers(-600, 600)]))
+    flat = draw(st.lists(entries, min_size=nrows * ncols, max_size=nrows * ncols))
+    return [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
+
+
+def _low_rank(rng, nrows, ncols, rank):
+    # nrows combinations of `rank` random rows
+    base = [[rng.randrange(2) for _ in range(ncols)] for _ in range(rank)]
+    return [
+        [sum(c * row[j] for c, row in zip(coeffs, base)) % 2 for j in range(ncols)]
+        for coeffs in ([rng.randrange(2) for _ in base] for _ in range(nrows))
+    ]
+
+
+_RNG = random.Random(2017)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gf2_matrices())
+@example([])
+@example([[]])
+@example([[], [], []])
+@example([[0] * 10240])
+@example([[_RNG.randrange(2) for _ in range(10240)]])
+@example([[_RNG.randrange(2) for _ in range(10240)] for _ in range(10)])
+@example(_low_rank(_RNG, 10, 10240, 6))
+@example([[1] * 10240 for _ in range(10)])
+def test_gf2_rank_matches_rref(rows):
+    assert linalg.rank(rows, 2) == _rref_rank(rows, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_matrices())
+@example([[256, 257, -1], [2, 3, 1]])
+@example([[2, 3, 254], [4, 5, 255]])
+def test_gf2_rank_reduces_any_integer_mod_2(rows):
+    assert linalg.rank(rows, 2) == _rref_rank(rows, 2)

@@ -49,6 +49,12 @@ def test_constructor_checks():
         RepairScheme(code, 1, [[99], [1], [2]])
     with pytest.raises(ValueError, match="element"):
         RepairScheme(code, 1, [[True], [2], [4]])
+    for star in (True, 1.0, 2.5, "1"):
+        with pytest.raises(ValueError, match="node"):
+            RepairScheme(code, star, [[g] for g in GF8.dual_basis])
+    scheme = _trivial_scheme(GF8, 5)
+    with pytest.raises(ValueError, match="node"):
+        scheme.io_matrix(True)
 
 
 def test_trivial_scheme_is_valid():
@@ -129,7 +135,7 @@ def test_io_table_matches_the_direct_expansion():
         for i in range(1, n + 1):
             assert scheme.io_matrix(i) == oracle[i]
         helpers = scheme.helpers()
-        ranks = [linalg.rank(oracle[i], q) for i in helpers]
+        ranks = [len(linalg.rref(oracle[i], q)[0]) for i in helpers]
         cols = [[c + 1 for c in linalg.nonzero_columns(oracle[i])] for i in helpers]
         assert scheme.bandwidth() == sum(ranks)
         assert scheme.io_cost_direct() == sum(len(c) for c in cols)
@@ -138,6 +144,40 @@ def test_io_table_matches_the_direct_expansion():
             {"i": i, "rank": rank, "nz": len(c), "cols": c}
             for i, rank, c in zip(helpers, ranks, cols)
         ]
+
+
+def test_helper_ranks_are_computed_once(monkeypatch):
+    from repair_lab import linalg
+
+    scheme = build_low_io_scheme(FieldContext(2, 4), 11, 2).translate(6)
+    n, ell = scheme.code.n, scheme.ctx.ell
+    shapes = []
+    rank = linalg.rank
+
+    def counting_rank(rows, p):
+        shapes.append((len(rows), len(rows[0])))
+        return rank(rows, p)
+
+    monkeypatch.setattr(linalg, "rank", counting_rank)
+    assert scheme.bandwidth() == 36
+    assert shapes == [(ell, ell)] * (n - 1)
+    del shapes[:]
+    report = scheme.cost_report()
+    assert report.bandwidth == report.io_cost == 36
+    # only validate() at the failed node and the formula route's stacked matrix
+    assert sorted(shapes) == [(ell, ell), (ell, n * ell)]
+
+
+def test_dual_values_are_evaluated_on_first_use():
+    scheme = build_low_io_scheme(GF8, 5, 1).translate(3)
+    assert scheme.validate() is None
+    assert "evals" not in vars(scheme)
+    copy = RepairScheme.from_dict(json.loads(json.dumps(scheme.to_dict())))
+    assert copy.validate() is None
+    assert "evals" not in vars(copy)
+    assert copy.io_cost_direct() == 13
+    assert copy.evals == scheme.evals
+    assert len(copy.evals) == 3 and all(len(ev) == 8 for ev in copy.evals)
 
 
 def test_io_matrix_copies_cannot_corrupt_the_scheme():

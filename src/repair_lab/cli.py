@@ -19,7 +19,13 @@ from .construction import (
 )
 from .fieldmath import FieldContext
 from .scheme import RepairScheme
-from .search import VerificationError, gaussian_binomial, min_io_exhaustive, verify_bound
+from .search import (
+    VerificationError,
+    gaussian_binomial,
+    min_io_exhaustive,
+    verify_bound,
+    visit_count,
+)
 
 
 def _parse_int_list(text: str) -> list[int]:
@@ -175,6 +181,7 @@ def _cmd_search_min(args) -> int:
         "r": args.r,
         "node": args.node,
         "subspaces": gaussian_binomial(args.r * ctx.ell, ctx.ell, ctx.q),
+        "visited": visit_count(ctx.q, ctx.ell, args.r),
         "min_io_cost": cost,
         "witness": scheme.to_dict(),
         "cost_report": report,
@@ -182,8 +189,8 @@ def _cmd_search_min(args) -> int:
 
     def human(p):
         print(
-            f"searched {p['subspaces']} subspaces for q={ctx.q} ell={ctx.ell} "
-            f"r={args.r}, node {args.node}"
+            f"searched {p['subspaces']} subspaces ({p['visited']} visited) for "
+            f"q={ctx.q} ell={ctx.ell} r={args.r}, node {args.node}"
         )
         print(f"minimum io cost: {cost}")
         print(f"witness dual codewords: {[list(g) for g in scheme.duals]}")
@@ -201,7 +208,8 @@ def _cmd_verify(args) -> int:
         if p["searched"]:
             line += f", exhaustive min {p['min']}"
         else:
-            line += f", search skipped ({p['subspaces']} subspaces over cap)"
+            visited = visit_count(p["q"], p["ell"], p["r"])
+            line += f", search skipped ({visited} schemes to visit, over cap)"
         print(line)
         print(f"gap: {p['gap']}")
 

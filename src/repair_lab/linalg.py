@@ -54,19 +54,6 @@ def rank(rows: list[list[int]], p: int) -> int:
     return r
 
 
-def solve(a: list[list[int]], b: list[int], p: int) -> list[int] | None:
-    """One solution x of a·x = b over Z_p, or None if the system is inconsistent."""
-    aug = [row + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug, p)
-    ncols = len(a[0]) if a else 0
-    if ncols in pivots:  # pivot in the constant column
-        return None
-    x = [0] * ncols
-    for row, c in zip(red, pivots):
-        x[c] = row[-1]
-    return x
-
-
 def inverse(a: list[list[int]], p: int) -> list[list[int]]:
     """Matrix inverse over Z_p; raises ValueError if singular."""
     n = len(a)

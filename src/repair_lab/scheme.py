@@ -321,6 +321,9 @@ class RepairScheme:
         ctx = FieldContext(
             data["q"], data["ell"], data.get("modulus"), data.get("basis")
         )
+        n = data.get("n", ctx.order)
+        if not _is_int(n) or n != ctx.order:
+            raise ValueError(f"scheme field 'n' must be q^ell = {ctx.order}, got {n!r}")
         code = RSCode.full_length(ctx, data["k"])
         return cls(code, data["star"], data["duals"])
 

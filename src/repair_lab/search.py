@@ -1,29 +1,43 @@
 """Exhaustive minimum-I/O search over all linear repair schemes, plus bound checks.
 
-A scheme's cost depends only on the B-span of its ell dual codewords, so the
-search enumerates ell-dimensional subspaces of the dual code (an (r*ell)-dimensional
-space over B, where r = n - k), one reduced-echelon basis per subspace.  Candidates
-whose span projects rank-deficiently onto the failed node cannot repair and
-never win.  One scanner serves every q: it walks each echelon pivot pattern's
-free cells in modular q-ary Gray order on packed integers, one row addition per
-subspace.  The patterns' Gray-counter ranges, laid end to end and weighted by
-q^(free cells), are cut into equal contiguous loads for the worker processes,
-and the loads' results are merged by (cost, canonical basis), so the result is
-deterministic regardless of scheduling; REPAIR_LAB_THREADS caps the workers.
+A scheme's cost depends only on the B-span W of its ell dual codewords, an
+ell-dimensional subspace of the dual code (polynomials of degree < r = n - k,
+an (r*ell)-dimensional space over B).  Write that space in the basis
+e_{d,t} = b_t * (x - alpha*)^d, where b is the working basis and alpha* the
+failed node's point.  W repairs the node iff it meets the polynomials that
+vanish at alpha* (the span of the e_{d,t} with d >= 1) only in 0, so every valid
+W is, uniquely, a graph over the constants: the span of the rows
+e_{0,t} + sum_{d>=1} A_d(b_t), one per t, where each A_d(b_t) is any element of
+F written in b-coordinates.  No candidate is invalid, and no rank test is needed.
 
-A hard cap (default 10^7 subspaces, pre-checked with the Gaussian binomial
-coefficient) refuses searches that cannot finish at interactive scale.
+The maps x -> alpha* + c(x - alpha*), c in F*, fix the failed node and permute
+the others, so they keep the cost; on the graph they multiply A_d by c^d.  An
+orbit with A_1 != 0 has q^ell - 1 members and exactly one whose first nonzero
+A_1(b_t) is the field's 1, so slice t0 (t0 = 0..ell-1) fixes A_1(b_t) = 0 for
+t < t0 and A_1(b_t0) = 1; one more slice holds A_1 = 0 whole (its orbits stay
+in it).  The scan visits q^(ell^2 (r-2)) * ((q^(ell^2) - 1)/(q^ell - 1) + 1)
+schemes, one packed modular q-ary Gray walk over each slice's free cells, one
+row addition per scheme.  The slices' Gray-counter ranges, laid end to end,
+are cut into equal contiguous loads for the worker processes.  Each load keeps
+its least cost and every (slice, counter) reaching it; the parent expands the
+ties by all scalings and reports the lexicographically smallest reduced-echelon
+basis (in the coordinates of basis[t] * x^d) among them, so the result does not
+depend on the worker count; REPAIR_LAB_THREADS caps the workers.
+
+A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
+at interactive scale.
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
-from itertools import accumulate, combinations, repeat
+from itertools import repeat
 from operator import or_
 
+from . import linalg
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
-from .fieldmath import FieldContext
+from .fieldmath import FieldContext, poly_shift
 from .rs import RSCode
 from .scheme import RepairScheme
 
@@ -47,42 +61,61 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
-# ---- reduced-echelon enumeration ------------------------------------------------
+def visit_count(q: int, ell: int, r: int) -> int:
+    """Schemes the search visits: one per scaling orbit with A_1 != 0, plus
+    the A_1 = 0 slice whole."""
+    return q ** (ell * ell * (r - 2)) * ((q ** (ell * ell) - 1) // (q**ell - 1) + 1)
 
 
-def _free_cells(pivots: tuple[int, ...], m: int) -> list[tuple[int, int]]:
-    """Unconstrained matrix positions for a pivot pattern, row-major order."""
-    pivset = set(pivots)
+# ---- the graph form ----------------------------------------------------------------
+
+
+def _cells(s: int, ell: int, r: int) -> list[tuple[int, int]]:
+    """Free cells (row t, dual-space index d*ell + u) of slice s, fast row first.
+    Slice s < ell fixes A_1(b_t) = 0 for t < s and A_1(b_s) = 1, so only rows
+    t > s have free e_1 cells; slice ell is A_1 = 0.  Row ell-1 has the most
+    cells and moves fastest."""
     return [
-        (r, c)
-        for r, p in enumerate(pivots)
-        for c in range(p + 1, m)
-        if c not in pivset
+        (t, d * ell + u)
+        for t in reversed(range(ell))
+        for d in range(1 if t > s else 2, r)
+        for u in range(ell)
     ]
 
 
-# ---- candidate spaces -------------------------------------------------------------
+def _slices(ell: int, r: int, q: int) -> list[tuple[int, int, int]]:
+    """Every slice's whole Gray-counter range, (slice, 0, q^(free cells))."""
+    return [(s, 0, q ** len(_cells(s, ell, r))) for s in range(ell + 1)]
 
 
-def _dual_space_data(ctx: FieldContext, r: int, star: int):
-    """Per B-basis-vector data for the dual code: the stacked subsymbol-coordinate
-    row (length n*ell over B) and the value at the failed node.  Basis vector
-    d*ell + t is the polynomial basis[t] * x^d."""
-    n = ctx.order
-    alpha_star = star - 1  # full-length points are 0..n-1 in order
+def _graph_rows(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[int]]:
+    """Slice s's scheme at a Gray counter, as rows over the e_{d,u} (index d*ell + u)."""
+    q, ell = ctx.q, ctx.ell
+    cells = _cells(s, ell, r)
+    digits = [counter // q**j % q for j in range(len(cells))] + [0]
+    rows = [[int(c == t) for c in range(r * ell)] for t in range(ell)]
+    if s < ell:
+        rows[s][ell : 2 * ell] = ctx.basis_coords(1)
+    for j, (t, c) in enumerate(cells):
+        rows[t][c] = (digits[j] - digits[j + 1]) % q
+    return rows
+
+
+def _shifted_rows(ctx: FieldContext, r: int, star: int) -> list[tuple[int, ...]]:
+    """The stacked subsymbol coordinates (length n*ell over B) of every
+    e_{d,t} = basis[t] * (x - alpha*)^d, at index d*ell + t."""
+    alpha = star - 1  # full-length points are 0..n-1 in order
     rows = []
-    vals = []
     for d in range(r):
-        powers = [ctx.power(a, d) for a in range(n)]
-        for t in range(ctx.ell):
-            b = ctx.basis[t]
-            values = [ctx.mul(b, p) for p in powers]
-            rows.append(tuple(c for v in values for c in ctx.dual_coords(v)))
-            vals.append(values[alpha_star])
-    return rows, vals
+        powers = [ctx.power(ctx.sub(a, alpha), d) for a in range(ctx.order)]
+        for b in ctx.basis:
+            rows.append(tuple(c for p in powers for c in ctx.dual_coords(ctx.mul(b, p))))
+    return rows
 
 
 def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
+    """The scheme whose dual codewords have the rows' coordinates over the
+    basis[t] * x^d (index d*ell + t)."""
     code = RSCode.full_length(ctx, ctx.order - r)
     duals = []
     for row in rows:
@@ -94,16 +127,39 @@ def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
     return RepairScheme(code, star, duals)
 
 
-def _split(items, workers: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
+def _orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):
+    """Flattened reduced-echelon bases, over the basis[t] * x^d, of slice s's
+    scheme at a Gray counter and, outside the A_1 = 0 slice, of all its q^ell - 1
+    scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole)."""
+    ell, shift = ctx.ell, ctx.neg(star - 1)
+    graph = [
+        [ctx.from_basis_coords(row[d * ell : (d + 1) * ell]) for d in range(r)]
+        for row in _graph_rows(ctx, r, s, counter)
+    ]
+    for c in range(1, ctx.order) if s < ell else (1,):
+        scale = [ctx.power(c, d) for d in range(r)]
+        rows = []
+        for coeffs in graph:
+            # b_t + sum_d c^d A_d(b_t) y^d at y = x - alpha*
+            g = poly_shift(ctx, [ctx.mul(f, a) for f, a in zip(scale, coeffs)], shift)
+            g += [0] * (r - len(g))
+            rows.append([x for a in g for x in ctx.basis_coords(a)])
+        yield tuple(x for row in linalg.rref(rows, ctx.q)[0] for x in row)
+
+
+# ---- the scan ----------------------------------------------------------------------
+
+
+def _split(items, workers: int) -> list[list[tuple[int, int, int]]]:
     """Cut the items, laid end to end, into at most `workers` contiguous loads
-    of at most ceil(total / workers) subspaces; a cut splits a counter range."""
+    of at most ceil(total / workers) visits; a cut splits a counter range."""
     total = sum(stop - start for _, start, stop in items)
     share = -(-total // workers)
     loads, load, room = [], [], share
-    for pivots, start, stop in items:
+    for s, start, stop in items:
         while start < stop:
             end = min(stop, start + room)
-            load.append((pivots, start, end))
+            load.append((s, start, end))
             room -= end - start
             start = end
             if not room:
@@ -115,31 +171,29 @@ def _split(items, workers: int) -> list[list[tuple[tuple[int, ...], int, int]]]:
 
 
 def _scan(ctx: FieldContext, r: int, star: int, items):
-    """(count, best) over (pivots, start, stop) Gray-counter ranges, where best
-    is the least (cost, flattened echelon basis) among valid bases, or None.
+    """(count, cost, ties) over (slice, start, stop) Gray-counter ranges: the
+    least cost among the visited schemes and every (slice, counter) reaching it.
 
     Counter t visits the free-cell digits g_j = (a_j - a_{j+1}) mod q of its
     base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
     t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
-    dual-space row is added to one basis row.  Rows (n*ell subsymbol
-    coordinates) and node values (ell digits) are packed into b-bit fields; a
-    field sum >= q shows in its high bit once 2^(b-1) - q is added (for q = 2
-    fields are bits and addition is XOR).  The cost counts the nonzero fields
-    of the rows' OR; only a basis whose cost can still win gets the exact rank
-    test.  Cells run row-major, so the fast digits are row 0's and the OR and
-    node-value span of rows 1.. are rebuilt only when one of those rows moves.
+    dual-space row is added to one scheme row.  Rows (n*ell subsymbol
+    coordinates) are packed into b-bit fields; a field sum >= q shows in its
+    high bit once 2^(b-1) - q is added (for q = 2 fields are bits and addition
+    is XOR).  The cost counts the nonzero fields of the rows' OR, less the ell
+    columns of the failed node; the OR of the slow rows is rebuilt only when
+    one of them moves.
     """
-    q, ell, m = ctx.q, ctx.ell, r * ctx.ell
-    rows_data, vals_data = _dual_space_data(ctx, r, star)
+    q, ell = ctx.q, ctx.ell
+    data = _shifted_rows(ctx, r, star)
     b = 1 if q == 2 else (2 * q - 1).bit_length() + 1
-    shift, full = b - 1, q ** (ell - 1)
+    shift = b - 1
 
     def pack(digits) -> int:
         return sum(d << (j * b) for j, d in enumerate(digits))
 
-    P = [pack(row) for row in rows_data]
-    V = [pack(ctx.digits(v)) for v in vals_data]
-    ones = pack([1] * len(rows_data[0]))
+    P = [pack(row) for row in data]
+    ones = pack([1] * len(data[0]))
     high = ones << shift
     over, nonzero = ((1 << shift) - q) * ones, ((1 << shift) - 1) * ones
 
@@ -149,34 +203,27 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
         s = x + y
         return s - (((s + over) & high) >> shift) * q
 
-    count, best = 0, None
-    for pivots, start, stop in items:
-        cells = _free_cells(pivots, m)
+    fast = ell - 1
+    count, best, ties = 0, ctx.order * ell, []  # every cost is below n*ell
+    for s, start, stop in items:
+        cells = _cells(s, ell, r)
         a = [start // q**j % q for j in range(len(cells))] + [0]
-        rows, vals = [P[p] for p in pivots], [V[p] for p in pivots]
-        for j, (i, c) in enumerate(cells):
-            for _ in range((a[j] - a[j + 1]) % q):
-                rows[i], vals[i] = add(rows[i], P[c]), add(vals[i], V[c])
-        t, i = start, 1
+        rows = []
+        for coords in _graph_rows(ctx, r, s, start):
+            row = 0
+            for c, coef in enumerate(coords):
+                for _ in range(coef):
+                    row = add(row, P[c])
+            rows.append(row)
+        t, i = start, None
         while True:
-            if i:  # a row other than row 0 moved (or this range just began)
-                rest, lower = reduce(or_, rows[1:], 0), None
-            cost = (((rest | rows[0]) + nonzero) & high).bit_count() - ell
-            if best is None or cost <= best[0]:
-                # rank ell iff values 1.. span q^(ell-1) points and value 0 is outside
-                if lower is None:
-                    lower = {0}
-                    for v in vals[1:]:
-                        multiples = list(accumulate([v] * (q - 1), add, initial=0))
-                        lower = {add(x, w) for x in lower for w in multiples}
-                if len(lower) == full and vals[0] not in lower:
-                    key = [0] * (ell * m)
-                    for row, p in enumerate(pivots):
-                        key[row * m + p] = 1
-                    for k, (row, c) in enumerate(cells):
-                        key[row * m + c] = (a[k] - a[k + 1]) % q
-                    if best is None or (cost, tuple(key)) < best:
-                        best = (cost, tuple(key))
+            if i != fast:  # a slow row moved (or this range just began)
+                rest = reduce(or_, rows[:fast], 0)
+            cost = (((rest | rows[fast]) + nonzero) & high).bit_count() - ell
+            if cost <= best:
+                if cost < best:
+                    best, ties = cost, []
+                ties.append((s, t))
             t += 1
             if t == stop:
                 break
@@ -188,13 +235,11 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
             i, c = cells[j]
             if q == 2:  # add() inlined: this is the hot loop
                 rows[i] ^= P[c]
-                vals[i] ^= V[c]
             else:
-                s, u = rows[i] + P[c], vals[i] + V[c]
-                rows[i] = s - (((s + over) & high) >> shift) * q
-                vals[i] = u - (((u + over) & high) >> shift) * q
+                v = rows[i] + P[c]
+                rows[i] = v - (((v + over) & high) >> shift) * q
         count += t - start
-    return count, best
+    return count, best, ties
 
 
 def _check_workers(workers: int | None) -> None:
@@ -222,7 +267,7 @@ def min_io_exhaustive(
     full-length code with n - k = r parities, plus a witness scheme achieving it
     (the one with lexicographically smallest echelon basis).
 
-    Raises ValueError when the subspace count exceeds the cap or workers < 1
+    Raises ValueError when the visit count exceeds the cap or workers < 1
     (None means one per CPU).
     """
     _check_workers(workers)
@@ -231,14 +276,12 @@ def min_io_exhaustive(
         raise ValueError(f"need 2 <= r <= n-1, got r={r}")
     if not 1 <= star <= n:
         raise ValueError(f"node index must be in 1..{n}, got {star}")
-    m = r * ell
-    expected = gaussian_binomial(m, ell, q)
+    expected = visit_count(q, ell, r)
     if expected > cap:
         raise ValueError(
-            f"search space has {expected} subspaces, over the cap of {cap}"
+            f"search would visit {expected} schemes, over the cap of {cap}"
         )
-    patterns = combinations(range(m), ell)
-    items = [(p, 0, q ** len(_free_cells(p, m))) for p in patterns]
+    items = _slices(ell, r, q)
     workers = _resolve_workers(workers, expected)
     if workers > 1 and expected >= _PARALLEL_THRESHOLD:
         loads = _split(items, workers)
@@ -246,15 +289,13 @@ def min_io_exhaustive(
             results = list(pool.map(_scan, repeat(ctx), repeat(r), repeat(star), loads))
     else:
         results = [_scan(ctx, r, star, items)]
-    total = sum(count for count, _ in results)
+    total = sum(count for count, _, _ in results)
     if total != expected:
-        raise VerificationError(
-            f"enumerated {total} subspaces, expected {expected}"
-        )
-    candidates = [best for _, best in results if best is not None]
-    if not candidates:
-        raise VerificationError("no valid scheme found; the dual code spans F")
-    cost, key = min(candidates)
+        raise VerificationError(f"visited {total} schemes, expected {expected}")
+    cost = min(best for _, best, _ in results)
+    ties = [tie for _, best, found in results if best == cost for tie in found]
+    key = min(k for tie in ties for k in _orbit_keys(ctx, r, star, *tie))
+    m = r * ell
     rows = [key[i * m : (i + 1) * m] for i in range(ell)]
     scheme = _rows_to_scheme(ctx, rows, r, star)
     if scheme.validate() is not None or scheme.io_cost_direct() != cost:
@@ -269,7 +310,7 @@ def verify_bound(
     cap: int = SUBSPACE_CAP,
 ) -> dict:
     """Check a certified lower bound against the construction and, when the
-    space is small enough, the exhaustive minimum.
+    search visits at most `cap` schemes, the exhaustive minimum.
 
     Bounds: r=2 for any q; r=3 for q=2 (and ell >= 3).  Raises
     VerificationError if the exhaustive minimum ever undercuts the bound or the
@@ -294,7 +335,6 @@ def verify_bound(
         raise VerificationError(
             f"construction cost {construction} != predicted {predicted_cost(q, ell, s)}"
         )
-    subspaces = gaussian_binomial(r * ell, ell, q)
     report = {
         "q": q,
         "ell": ell,
@@ -302,8 +342,8 @@ def verify_bound(
         "n": n,
         "bound": bound,
         "construction": construction,
-        "subspaces": subspaces,
-        "searched": subspaces <= cap,
+        "subspaces": gaussian_binomial(r * ell, ell, q),
+        "searched": visit_count(q, ell, r) <= cap,
         "min": None,
     }
     if report["searched"]:

@@ -5,14 +5,16 @@ route to its answer: enumerate, expand, or solve by the textbook formula.
 """
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import reduce
+from itertools import accumulate, combinations, product
+from operator import or_
 
 from repair_lab import linalg
 from repair_lab.fieldmath import FieldContext, _is_prime, poly_deg, poly_eval, poly_trim
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _free_cells, _rows_to_scheme
+from repair_lab.search import _rows_to_scheme
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -81,6 +83,22 @@ def qp_kernel(ctx: FieldContext, thetas) -> tuple[int, ...]:
     return canonical_subspace_basis(ctx, (ctx.from_basis_coords(v) for v in null))
 
 
+# ---- linear algebra ------------------------------------------------------------------
+
+
+def solve(a: list[list[int]], b: list[int], p: int) -> list[int] | None:
+    """One solution x of a·x = b over Z_p, or None if the system is inconsistent."""
+    aug = [row + [bv] for row, bv in zip(a, b)]
+    red, pivots = linalg.rref(aug, p)
+    ncols = len(a[0]) if a else 0
+    if ncols in pivots:  # pivot in the constant column
+        return None
+    x = [0] * ncols
+    for row, c in zip(red, pivots):
+        x[c] = row[-1]
+    return x
+
+
 # ---- Reed-Solomon codes --------------------------------------------------------------
 
 
@@ -121,6 +139,17 @@ def io_matrix_oracle(scheme: RepairScheme, i: int) -> list[list[int]]:
     return [list(scheme.ctx.dual_coords(ev[i - 1])) for ev in scheme.evals]
 
 
+def _free_cells(pivots: tuple[int, ...], m: int) -> list[tuple[int, int]]:
+    """Unconstrained matrix positions for a pivot pattern, row-major order."""
+    pivset = set(pivots)
+    return [
+        (r, c)
+        for r, p in enumerate(pivots)
+        for c in range(p + 1, m)
+        if c not in pivset
+    ]
+
+
 def iter_echelon_bases(m: int, k: int, q: int):
     """Every k x m reduced-echelon basis matrix over GF(q), one per subspace,
     as tuples of row tuples."""
@@ -155,3 +184,92 @@ def diagonal_zero_counts(scheme: RepairScheme, s: int) -> list[int]:
         )
         for j in range(s + 1)
     ]
+
+
+# ---- exhaustive search over every subspace ------------------------------------------
+
+
+def _dual_space_data(ctx: FieldContext, r: int, star: int):
+    """Per B-basis-vector data for the dual code: the stacked subsymbol-coordinate
+    row (length n*ell over B) and the value at the failed node.  Basis vector
+    d*ell + t is the polynomial basis[t] * x^d."""
+    n = ctx.order
+    alpha_star = star - 1  # full-length points are 0..n-1 in order
+    rows = []
+    vals = []
+    for d in range(r):
+        powers = [ctx.power(a, d) for a in range(n)]
+        for t in range(ctx.ell):
+            b = ctx.basis[t]
+            values = [ctx.mul(b, p) for p in powers]
+            rows.append(tuple(c for v in values for c in ctx.dual_coords(v)))
+            vals.append(values[alpha_star])
+    return rows, vals
+
+
+def pattern_scan(ctx: FieldContext, r: int, star: int):
+    """(count, best) over every ell-dimensional subspace of the dual code, one
+    reduced-echelon basis per subspace, where best is the least (cost, flattened
+    echelon basis over the basis[t] * x^d) among the bases that repair the node.
+
+    Each pivot pattern's free cells are walked in modular q-ary Gray order on
+    packed integers, one row addition per subspace, and each basis whose cost
+    can still win gets the exact rank test: the node values of rows 1.. span
+    q^(ell-1) points and row 0's value lies outside them.
+    """
+    q, ell, m = ctx.q, ctx.ell, r * ctx.ell
+    rows_data, vals_data = _dual_space_data(ctx, r, star)
+    b = 1 if q == 2 else (2 * q - 1).bit_length() + 1
+    shift, full = b - 1, q ** (ell - 1)
+
+    def pack(digits) -> int:
+        return sum(d << (j * b) for j, d in enumerate(digits))
+
+    P = [pack(row) for row in rows_data]
+    V = [pack(ctx.digits(v)) for v in vals_data]
+    ones = pack([1] * len(rows_data[0]))
+    high = ones << shift
+    over, nonzero = ((1 << shift) - q) * ones, ((1 << shift) - 1) * ones
+
+    def add(x: int, y: int) -> int:
+        if q == 2:
+            return x ^ y
+        s = x + y
+        return s - (((s + over) & high) >> shift) * q
+
+    count, best = 0, None
+    for pivots in combinations(range(m), ell):
+        cells = _free_cells(pivots, m)
+        a = [0] * (len(cells) + 1)
+        rows, vals = [P[p] for p in pivots], [V[p] for p in pivots]
+        t, stop, i = 0, q ** len(cells), 1
+        while True:
+            if i:  # a row other than row 0 moved (or this pattern just began)
+                rest, lower = reduce(or_, rows[1:], 0), None
+            cost = (((rest | rows[0]) + nonzero) & high).bit_count() - ell
+            if best is None or cost <= best[0]:
+                if lower is None:
+                    lower = {0}
+                    for v in vals[1:]:
+                        multiples = list(accumulate([v] * (q - 1), add, initial=0))
+                        lower = {add(x, w) for x in lower for w in multiples}
+                if len(lower) == full and vals[0] not in lower:
+                    key = [0] * (ell * m)
+                    for row, p in enumerate(pivots):
+                        key[row * m + p] = 1
+                    for k, (row, c) in enumerate(cells):
+                        key[row * m + c] = (a[k] - a[k + 1]) % q
+                    if best is None or (cost, tuple(key)) < best:
+                        best = (cost, tuple(key))
+            t += 1
+            if t == stop:
+                break
+            j = 0
+            while a[j] == q - 1:
+                a[j] = 0
+                j += 1
+            a[j] += 1
+            i, c = cells[j]
+            rows[i], vals[i] = add(rows[i], P[c]), add(vals[i], V[c])
+        count += stop
+    return count, best

@@ -155,6 +155,8 @@ _GOOD_DOC = {"q": 2, "ell": 2, "n": 4, "k": 2, "star": 1, "duals": [[3], [1]]}
         {**_GOOD_DOC, "duals": [3, 1]},
         {**_GOOD_DOC, "duals": [[3], [1.0]]},
         {**_GOOD_DOC, "duals": {"1": [3]}},
+        {**_GOOD_DOC, "n": 99},
+        {**_GOOD_DOC, "n": "abc"},
     ],
     ids=lambda doc: json.dumps(doc)[:40],
 )
@@ -217,9 +219,17 @@ def test_repair_demo_bad_node_exit_2(capsys):
 def test_search_min_json(capsys):
     payload = _run_json(capsys, "search-min", "--q", "2", "--ell", "2", "--r", "2")
     assert payload["subspaces"] == 35
+    assert payload["visited"] == 6
     assert payload["min_io_cost"] == 4
     assert payload["witness"]["star"] == 1
     assert payload["cost_report"]["io_cost"] == 4
+
+
+def test_search_min_human(capsys):
+    code, out, _ = _run(capsys, "search-min", "--q", "2", "--ell", "2", "--r", "2")
+    assert code == 0
+    assert out.startswith("searched 35 subspaces (6 visited) for q=2 ell=2 r=2, node 1\n")
+    assert "minimum io cost: 4" in out
 
 
 @pytest.mark.parametrize("command", ["search-min", "verify"])
@@ -239,6 +249,22 @@ def test_verify_human(capsys):
     assert "bound 4" in out
     assert "exhaustive min 4" in out
     assert "gap: 0" in out
+
+
+def test_verify_human_names_the_visits_over_the_cap(capsys):
+    code, out, _ = _run(capsys, "verify", "--q", "2", "--ell", "4", "--r", "3")
+    assert code == 0
+    assert "search skipped (286392320 schemes to visit, over cap)" in out
+    assert "gap: 2" in out
+
+
+def test_verify_certifies_q2_ell5_two_parities(capsys):
+    # 109 221 651 subspaces, certified by visiting 1 082 402 schemes
+    payload = _run_json(capsys, "verify", "--q", "2", "--ell", "5", "--r", "2")
+    assert payload["searched"]
+    assert payload["subspaces"] == 109_221_651
+    assert payload["min"] == payload["bound"] == payload["construction"] == 139
+    assert payload["gap"] == 0
 
 
 def test_verify_failure_exit_1(capsys, monkeypatch):

@@ -3,6 +3,8 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repair_lab.construction import build_low_io_scheme
 from repair_lab.fieldmath import FieldContext, coset_weight
@@ -233,6 +235,21 @@ def test_bandwidth_never_exceeds_io_cost():
         assert scheme.bandwidth() <= scheme.io_cost_direct()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_formula_equals_direct_on_random_odd_q_schemes(data):
+    ctx = data.draw(st.sampled_from([FieldContext(5, 1), GF9, FieldContext(5, 2), FieldContext(3, 3)]))
+    r = data.draw(st.integers(2, min(4, ctx.order - 1)))
+    star = data.draw(st.integers(1, ctx.order))
+    coeff = st.integers(0, ctx.order - 1)
+    duals = data.draw(st.lists(st.lists(coeff, min_size=r, max_size=r),
+                               min_size=ctx.ell, max_size=ctx.ell))
+    scheme = RepairScheme(RSCode.full_length(ctx, ctx.order - r), star, duals)
+    assume(scheme.validate() is None)
+    assert scheme.io_cost_formula() == scheme.io_cost_direct()
+    assert scheme.bandwidth() <= scheme.io_cost_direct()
+
+
 def test_stacked_matrix_bookkeeping():
     from repair_lab import linalg
 
@@ -413,6 +430,16 @@ def test_scheme_roundtrip_through_dict():
     assert back.io_cost_direct() == scheme.io_cost_direct()
     assert back.ctx.modulus == scheme.ctx.modulus
     assert back.ctx.basis == scheme.ctx.basis
+
+
+@pytest.mark.parametrize("n", [99, 4, "abc", None, True])
+def test_from_dict_checks_n(n):
+    data = build_low_io_scheme(GF8, 5, 1).to_dict()
+    data["n"] = n
+    with pytest.raises(ValueError, match="'n'"):
+        RepairScheme.from_dict(data)
+    del data["n"]
+    assert RepairScheme.from_dict(data).code.n == 8
 
 
 def test_short_code_scheme_does_not_serialize():

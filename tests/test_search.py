@@ -1,19 +1,22 @@
-from itertools import combinations
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repair_lab.fieldmath import FieldContext
+from repair_lab.fieldmath import FieldContext, poly_shift
 from repair_lab import search
+from repair_lab.rs import RSCode
+from repair_lab.scheme import RepairScheme
 from repair_lab.search import (
     VerificationError,
     gaussian_binomial,
     min_io_exhaustive,
     verify_bound,
+    visit_count,
 )
 
-from oracles import iter_echelon_bases, iter_valid_schemes
+from oracles import iter_echelon_bases, iter_valid_schemes, pattern_scan
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -77,8 +80,20 @@ def test_min_io_gf9_two_parities():
 
 
 def test_min_io_respects_the_cap():
-    with pytest.raises(ValueError, match="1395"):
-        min_io_exhaustive(GF8, 2, cap=100)
+    assert visit_count(2, 3, 2) == 74
+    with pytest.raises(ValueError, match=r"visit 74 schemes, over the cap of 73"):
+        min_io_exhaustive(GF8, 2, cap=73)
+    assert min_io_exhaustive(GF8, 2, cap=74)[0] == 17
+
+
+@pytest.mark.parametrize(
+    "q,ell,r,visited",
+    [(2, 3, 3, 37_888), (3, 3, 2, 758), (5, 2, 3, 16_875), (2, 5, 2, 1_082_402),
+     (2, 3, 4, 19_398_656), (2, 1, 3, 4), (5, 1, 2, 2)],
+)
+def test_visit_count_is_the_sum_of_the_slices(q, ell, r, visited):
+    assert visit_count(q, ell, r) == visited
+    assert sum(stop for _, _, stop in search._slices(ell, r, q)) == visited
 
 
 def test_min_io_bad_parameters():
@@ -107,22 +122,28 @@ def test_parallel_scan_matches_serial(monkeypatch):
                 assert witness.to_dict() == serial_witness.to_dict()
 
 
-# ---- the Gray scanner against a slow oracle, and its split --------------------------
+# ---- the orbit scanner against slow oracles, and its split ----------------------------
 
 
 def _oracle(ctx, r, star):
-    """(count, minimum, witness) by costing every echelon basis as a scheme."""
+    """(count, valid, minimum, witness) by costing every echelon basis as a scheme."""
     m, ell = r * ctx.ell, ctx.ell
-    count, best = 0, None
+    count, valid, best = 0, 0, None
     for rows in iter_echelon_bases(m, ell, ctx.q):
         count += 1
         scheme = search._rows_to_scheme(ctx, rows, r, star)
         if scheme.validate() is None:
+            valid += 1
             candidate = (scheme.io_cost_direct(), sum(rows, ()))
-            best = candidate if best is None else min(best, candidate)
+            best = candidate if best is None or candidate < best else best
     cost, key = best
-    witness = search._rows_to_scheme(ctx, [key[i * m : (i + 1) * m] for i in range(ell)], r, star)
-    return count, cost, witness
+    return count, valid, cost, _key_to_scheme(ctx, r, star, key)
+
+
+def _key_to_scheme(ctx, r, star, key):
+    m = r * ctx.ell
+    rows = [key[i * m : (i + 1) * m] for i in range(ctx.ell)]
+    return search._rows_to_scheme(ctx, rows, r, star)
 
 
 # (q, ell, r) with at most 2000 subspaces
@@ -144,16 +165,99 @@ def test_scanner_matches_oracle(data):
         assume(False)
     star = data.draw(st.integers(1, order))
     assert gaussian_binomial(r * ell, ell, q) <= 2000
-    count, cost, witness = _oracle(ctx, r, star)
+    count, valid, cost, witness = _oracle(ctx, r, star)
     assert count == gaussian_binomial(r * ell, ell, q)
+    # the valid schemes are exactly the graphs A: C -> K
+    assert valid == q ** ((r - 1) * ell * ell)
+    visited, least, _ = search._scan(ctx, r, star, search._slices(ell, r, q))
+    assert (visited, least) == (visit_count(q, ell, r), cost)
     found, scheme = min_io_exhaustive(ctx, r, star=star, workers=1)
     assert found == cost
     assert scheme.to_dict() == witness.to_dict()
 
 
+@pytest.mark.parametrize(
+    "ctx,r",
+    [
+        pytest.param(GF4, 2, id="gf4-r2"),
+        pytest.param(GF4, 3, id="gf4-r3"),
+        pytest.param(GF8, 2, id="gf8-r2"),
+        pytest.param(GF9, 2, id="gf9-r2"),
+        pytest.param(FieldContext(5, 2), 2, id="gf25-r2"),
+        pytest.param(FieldContext(3, 1), 2, id="gf3-r2"),
+        pytest.param(FieldContext(5, 1), 3, id="gf5-r3"),
+        pytest.param(FieldContext(5, 1), 4, id="gf5-r4"),
+        pytest.param(FieldContext(2, 3, [1, 0, 1, 1]), 2, id="gf8-modulus-r2"),
+        pytest.param(FieldContext(2, 3, [1, 0, 1, 1], [3, 5, 7]), 2, id="gf8-modulus-basis-r2"),
+        pytest.param(FieldContext(3, 2, None, [2, 4]), 3, id="gf9-basis-r3"),
+    ],
+)
+def test_min_io_matches_the_subspace_oracle_at_every_node(monkeypatch, ctx, r):
+    monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
+    for star in range(1, ctx.order + 1):
+        count, (cost, key) = pattern_scan(ctx, r, star)
+        assert count == gaussian_binomial(r * ctx.ell, ctx.ell, ctx.q)
+        witness = _key_to_scheme(ctx, r, star, key).to_dict()
+        for workers in (1, 2, 3):
+            found, scheme = min_io_exhaustive(ctx, r, star=star, workers=workers)
+            assert (found, scheme.to_dict()) == (cost, witness)
+
+
+@pytest.mark.parametrize("ctx,r,star", [(GF4, 3, 2), (GF8, 2, 5), (GF9, 2, 7),
+                                        (FieldContext(3, 2, None, [2, 4]), 2, 3)])
+def test_visited_orbits_cover_every_valid_scheme_once(ctx, r, star):
+    images = Counter(
+        key
+        for s, start, stop in search._slices(ctx.ell, r, ctx.q)
+        for counter in range(start, stop)
+        for key in search._orbit_keys(ctx, r, star, s, counter)
+    )
+    valid = {
+        sum(rows, ())
+        for rows in iter_echelon_bases(r * ctx.ell, ctx.ell, ctx.q)
+        if search._rows_to_scheme(ctx, rows, r, star).validate() is None
+    }
+    assert set(images) == valid
+    assert set(images.values()) == {1}
+
+
+def _substitute(scheme, c):
+    """The scheme after x -> alpha* + c (x - alpha*), which fixes the failed node."""
+    ctx = scheme.ctx
+    alpha = scheme.code.eval_points[scheme.star - 1]
+    duals = []
+    for g in scheme.duals:
+        h = poly_shift(ctx, g, alpha)  # h(y) = g(alpha* + y)
+        h = [ctx.mul(ctx.power(c, d), a) for d, a in enumerate(h)]  # h(c y)
+        duals.append(poly_shift(ctx, h, ctx.neg(alpha)))  # at y = x - alpha*
+    return RepairScheme(scheme.code, scheme.star, duals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_scaling_about_the_failed_node_keeps_every_cost(data):
+    ctx = data.draw(st.sampled_from(
+        [GF4, GF8, GF9, FieldContext(5, 1), FieldContext(2, 3, [1, 0, 1, 1], [3, 5, 7])]
+    ))
+    r = data.draw(st.integers(2, min(4, ctx.order - 1)))
+    star = data.draw(st.integers(1, ctx.order))
+    coeff = st.integers(0, ctx.order - 1)
+    duals = data.draw(st.lists(st.lists(coeff, min_size=r, max_size=r),
+                               min_size=ctx.ell, max_size=ctx.ell))
+    scheme = RepairScheme(RSCode.full_length(ctx, ctx.order - r), star, duals)
+    assume(scheme.validate() is None)
+    costs = (scheme.io_cost_direct(), scheme.io_cost_formula(), scheme.bandwidth())
+    for c in range(1, ctx.order):
+        image = _substitute(scheme, c)
+        assert image.validate() is None
+        assert (image.io_cost_direct(), image.io_cost_formula(), image.bandwidth()) == costs
+
+
 def _merge(results):
-    bests = [best for _, best in results if best is not None]
-    return sum(count for count, _ in results), min(bests) if bests else None
+    """Results of disjoint ranges merged as min_io_exhaustive merges them."""
+    cost = min(best for _, best, _ in results)
+    ties = sorted(t for _, best, found in results if best == cost for t in found)
+    return sum(count for count, _, _ in results), cost, ties
 
 
 @settings(max_examples=40, deadline=None)
@@ -162,52 +266,49 @@ def test_scan_cut_into_two_gray_ranges_matches_whole(data):
     q, ell, r = data.draw(st.sampled_from([(2, 3, 2), (3, 2, 2), (3, 2, 3), (5, 2, 2)]))
     ctx = FieldContext(q, ell)
     star = data.draw(st.integers(1, ctx.order))
-    m = r * ell
-    pivots = data.draw(st.sampled_from([p for p in combinations(range(m), ell)
-                                        if search._free_cells(p, m)]))
-    size = q ** len(search._free_cells(pivots, m))
+    s, _, size = data.draw(st.sampled_from(
+        [item for item in search._slices(ell, r, q) if item[2] > 1]
+    ))
     cut = data.draw(st.integers(1, size - 1))
-    whole = search._scan(ctx, r, star, [(pivots, 0, size)])
+    whole = search._scan(ctx, r, star, [(s, 0, size)])
     halves = [
-        search._scan(ctx, r, star, [(pivots, 0, cut)]),
-        search._scan(ctx, r, star, [(pivots, cut, size)]),
+        search._scan(ctx, r, star, [(s, 0, cut)]),
+        search._scan(ctx, r, star, [(s, cut, size)]),
     ]
     assert whole[0] == size
-    assert _merge(halves) == whole
+    assert _merge(halves) == _merge([whole])
 
 
 @pytest.mark.parametrize("q,ell,r", [(2, 3, 3), (3, 3, 2), (5, 2, 3), (2, 2, 2), (3, 1, 2)])
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_split_is_exact_and_balanced(q, ell, r, workers):
-    m = r * ell
-    items = [(p, 0, q ** len(search._free_cells(p, m))) for p in combinations(range(m), ell)]
-    total = gaussian_binomial(m, ell, q)
+    items = search._slices(ell, r, q)
+    total = visit_count(q, ell, r)
     loads = search._split(items, workers)
     weights = [sum(stop - start for _, start, stop in load) for load in loads]
     assert sum(weights) == total
     assert len(loads) <= workers
     assert max(weights) <= -(-total // workers)
-    # every pattern's counter range is covered exactly once, in order
+    # every slice's counter range is covered exactly once, in order
     pieces = {}
     for load in loads:
-        for pivots, start, stop in load:
+        for s, start, stop in load:
             assert 0 <= start < stop
-            pieces.setdefault(pivots, []).append((start, stop))
-    for pivots, _, size in items:
-        spans = pieces[pivots]
+            pieces.setdefault(s, []).append((start, stop))
+    for s, _, size in items:
+        spans = pieces[s]
         assert spans[0][0] == 0 and spans[-1][1] == size
         assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
 
 
 def test_split_loads_scan_to_the_serial_result():
     ctx, r, star = GF9, 3, 4
-    m = r * ctx.ell
-    items = [(p, 0, 3 ** len(search._free_cells(p, m))) for p in combinations(range(m), 2)]
+    items = search._slices(ctx.ell, r, ctx.q)
     serial = search._scan(ctx, r, star, items)
-    assert serial[0] == gaussian_binomial(m, 2, 3)
+    assert serial[0] == visit_count(3, 2, 3)
     for workers in (2, 3, 7):
         loads = search._split(items, workers)
-        assert _merge([search._scan(ctx, r, star, load) for load in loads]) == serial
+        assert _merge([search._scan(ctx, r, star, load) for load in loads]) == _merge([serial])
 
 
 def test_worker_env_cap(monkeypatch):

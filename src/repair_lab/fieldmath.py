@@ -26,6 +26,17 @@ Coordinate expansions come in two flavours that are easy to mix up:
   coefficients of a in the dual basis.
 
 Contexts are immutable after construction and safe to share across threads.
+
+poly_eval_all evaluates one polynomial at many points at once when q = 2, by
+bit-sliced Horner.  Lane j holds points[j]; a lane vector is stored as ell
+planes, where plane b is one int whose bit j is polynomial digit b of lane j,
+and mask u is the plane of digit u of the points.  Horner's step
+acc <- acc * a + c runs on every lane at once: the product is built over the
+points' digits from the top, R <- x * R + acc * (mask u), where x * R shifts
+the planes up one and XORs the old top plane into each plane b with
+modulus[b] = 1; adding c XORs the all-ones plane into the planes of c's set
+bits.  Only the modulus is read, so the path serves every GF(2^ell), with or
+without tables, and any list of points.
 """
 from __future__ import annotations
 
@@ -141,9 +152,8 @@ class FieldContext:
             raise ValueError(f"q must be prime, got {q!r}")
         if not _is_int(ell) or ell < 1:
             raise ValueError(f"ell must be an integer >= 1, got {ell!r}")
-        self.q = q
-        self.ell = ell
-        self.order = q**ell
+        # the modulus is resolved and length-checked before q**ell is formed, so
+        # a huge ell fails fast instead of exhausting memory
         if modulus is None:
             try:
                 modulus = _DEFAULT_MODULI[(q, ell)]
@@ -159,6 +169,9 @@ class FieldContext:
         if modulus[-1] != 1:
             raise ValueError("modulus must be monic")
         _check_irreducible(modulus, q)
+        self.q = q
+        self.ell = ell
+        self.order = q**ell
         self.modulus = modulus
 
         self._exp: list[int] | None = None
@@ -451,6 +464,43 @@ def poly_eval(ctx: FieldContext, coeffs, x: int) -> int:
     for c in reversed(list(coeffs)):
         acc = ctx.add(ctx.mul(acc, x), c)
     return acc
+
+
+def poly_eval_all(ctx: FieldContext, coeffs, points) -> list[int]:
+    """[poly_eval(ctx, coeffs, a) for a in points], bit-sliced when q = 2.
+
+    See the module docstring for the layout.  Odd q evaluates point by point.
+    """
+    points = list(points)
+    if ctx.q != 2:
+        return [poly_eval(ctx, coeffs, a) for a in points]
+    if not points:
+        return []
+    n, ell = len(points), ctx.ell
+    ones = (1 << n) - 1
+    # column i of these rows is digit ell-1-i of every lane, lane 0 last
+    rows = [format(a, f"0{ell}b") for a in reversed(points)]
+    masks_top_down = [int("".join(col), 2) for col in zip(*rows)]
+    folds = [b for b in range(ell) if ctx.modulus[b]]
+    acc = [0] * ell
+    for c in reversed(list(coeffs)):
+        if any(acc):
+            prod = [0] * ell
+            for mask in masks_top_down:
+                top = prod[-1]
+                prod = [0] + prod[:-1]
+                if top:
+                    for b in folds:
+                        prod[b] ^= top
+                for b in range(ell):
+                    prod[b] ^= acc[b] & mask
+            acc = prod
+        for b in range(ell):
+            if c >> b & 1:
+                acc[b] ^= ones
+    # row j of the transposed planes is lane n-1-j, top digit first
+    planes = [format(p, f"0{n}b") for p in reversed(acc)]
+    return [int("".join(bits), 2) for bits in zip(*planes)][::-1]
 
 
 def poly_shift(ctx: FieldContext, coeffs, c: int) -> list[int]:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .fieldmath import FieldContext, poly_deg, poly_eval
+from .fieldmath import FieldContext, poly_deg, poly_eval_all
 
 
 class RSCode:
@@ -40,10 +40,16 @@ class RSCode:
         return self.n == self.ctx.order
 
     def encode(self, message) -> list[int]:
-        """Evaluate the message polynomial (coefficients ascending) at every node."""
+        """Evaluate the message polynomial (coefficients ascending) at every node.
+
+        Raises ValueError for a coefficient outside the field or a degree >= k.
+        """
+        message = list(message)
+        for c in message:
+            self.ctx._check_element(c)
         if poly_deg(message) >= self.k:
             raise ValueError(f"message degree {poly_deg(message)} >= k={self.k}")
-        return [poly_eval(self.ctx, message, a) for a in self.eval_points]
+        return poly_eval_all(self.ctx, message, self.eval_points)
 
     def random_message(self, seed: int) -> list[int]:
         rng = random.Random(seed)

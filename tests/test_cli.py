@@ -185,6 +185,48 @@ def test_cost_malformed_scheme_no_traceback_subprocess(text):
     assert "Traceback" not in proc.stderr
 
 
+_TIMED_MAIN = """
+import sys, time
+from repair_lab import cli
+t0 = time.perf_counter()
+code = cli.main(sys.argv[1:])
+print(time.perf_counter() - t0)
+sys.exit(code)
+"""
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["field-info", "--q", "2", "--ell", str(10**12)], ""),
+        (["field-info", "--q", "2", "--ell", str(10**8)], ""),
+        (["cost"], json.dumps({**_GOOD_DOC, "ell": 10**30})),
+        (["cost"], json.dumps({**_GOOD_DOC, "ell": 10**30, "modulus": [1, 1, 1]})),
+    ],
+    ids=["field-info-1e12", "field-info-1e8", "cost-1e30", "cost-1e30-modulus"],
+)
+def test_huge_ell_exits_2_at_once(argv, stdin):
+    # q**ell must not be formed before the modulus is resolved; a 1 GB address
+    # space turns a regression into a quick MemoryError instead of an OOM kill
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *argv],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert float(proc.stdout) < 1.0
+
+
 def test_repair_demo_seventeen_reads(capsys):
     code, out, _ = _run(
         capsys,

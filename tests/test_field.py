@@ -2,12 +2,15 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repair_lab.fieldmath import (
     FieldContext,
     coset_weight,
     poly_deg,
     poly_eval,
+    poly_eval_all,
     poly_shift,
     poly_trim,
 )
@@ -372,6 +375,41 @@ def test_poly_eval_matches_power_sum():
         for d, c in enumerate(coeffs):
             direct = GF8.add(direct, GF8.mul(c, GF8.power(x, d)))
         assert poly_eval(GF8, coeffs, x) == direct
+
+
+# GF(2^ell) for ell = 1..12, two non-default moduli, and GF(2^17), which has no
+# tables; the sliced evaluator reads only the modulus, so all of them take it
+_SLICED_FIELDS = [FieldContext(2, ell) for ell in range(1, 13)] + [
+    FieldContext(2, 3, [1, 0, 1, 1]),
+    FieldContext(2, 4, [1, 0, 0, 1, 1]),
+    FieldContext(2, 17, [1, 0, 0, 1] + [0] * 13 + [1]),
+]
+GF2_17 = _SLICED_FIELDS[-1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_poly_eval_all_matches_pointwise(data):
+    ctx = data.draw(st.sampled_from(_SLICED_FIELDS), label="field")
+    # random subsets in random order, whole fields included up to 2^8;
+    # the table-free GF(2^17) multiplies slowly, so it gets short lists
+    cap = 40 if ctx is GF2_17 else min(ctx.order, 256)
+    size = data.draw(st.integers(0, cap), label="n")
+    points = data.draw(st.randoms(use_true_random=False)).sample(range(ctx.order), size)
+    coeffs = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=12), label="coeffs")
+    assert poly_eval_all(ctx, coeffs, points) == [poly_eval(ctx, coeffs, a) for a in points]
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[], [0, 0, 0], [5], [6, 0, 3, 0, 0], [0, 0, 7]],
+    ids=["empty", "zero", "k1", "trailing-zeros", "monomial"],
+)
+@pytest.mark.parametrize(
+    "ctx", [GF8, FieldContext(2, 3, [1, 0, 1, 1]), GF9], ids=["gf8", "gf8-custom", "gf9"]
+)
+def test_poly_eval_all_edge_messages(ctx, coeffs):
+    for points in (range(ctx.order), [7, 0, 3, 5], []):
+        assert poly_eval_all(ctx, coeffs, points) == [poly_eval(ctx, coeffs, a) for a in points]
 
 
 def test_poly_ring_operations():

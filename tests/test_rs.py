@@ -45,6 +45,18 @@ def test_encode_identity_message_gf4():
     assert code.encode([0, 1]) == [0, 1, 2, 3]
 
 
+@pytest.mark.parametrize(
+    "ctx,message",
+    [(GF8, [9]), (GF8, [-1]), (GF8, [1, 8]), (GF8, [True, 1]), (GF9, [9]), (GF8, [1, 2, 3, 8])],
+    ids=["gf8-9", "gf8-neg", "gf8-8", "gf8-bool", "gf9-9", "gf8-8-over-degree"],
+)
+def test_encode_rejects_non_elements(ctx, message):
+    # checked before the degree, so the last message names its bad coefficient
+    code = RSCode.full_length(ctx, 2)
+    with pytest.raises(ValueError, match="not a field element"):
+        code.encode(message)
+
+
 def test_encode_degree_check():
     code = RSCode.full_length(GF8, 2)
     with pytest.raises(ValueError, match="degree"):
@@ -123,6 +135,16 @@ def test_any_k_symbols_determine_the_codeword(ctx, k):
         pts = [code.eval_points[i] for i in keep]
         vals = [word[i] for i in keep]
         assert _lagrange(ctx, pts, vals) == msg
+
+
+@pytest.mark.parametrize("seed", [7, 2017])
+def test_full_length_n1024_codeword_matches_pointwise_oracle(seed):
+    ctx = FieldContext(2, 10)
+    code = RSCode.full_length(ctx, 1020)
+    word = code.random_codeword(seed)
+    message = code.random_message(seed)
+    assert word == [poly_eval(ctx, message, a) for a in code.eval_points]
+    assert is_codeword(code, word)
 
 
 def test_random_codeword_reproducible():

@@ -384,6 +384,31 @@ def test_translate_then_repair():
         assert moved.repair_transcript(word)[0] == erased
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_random_scheme_translates_to_every_node(data):
+    ctx = data.draw(st.sampled_from([GF8, GF9, FieldContext(2, 4)]), label="field")
+    r = data.draw(st.sampled_from([2, 3]), label="r")
+    coeff = st.integers(0, ctx.order - 1)
+    duals = data.draw(st.lists(st.lists(coeff, min_size=r, max_size=r),
+                               min_size=ctx.ell, max_size=ctx.ell), label="duals")
+    code = RSCode.full_length(ctx, ctx.order - r)
+    base = RepairScheme(code, 1, duals)
+    assume(base.validate() is None)
+    moved = [base.translate(target) for target in range(1, ctx.order + 1)]
+    assert all(m.validate() is None for m in moved)
+    costs = {(m.io_cost_direct(), m.io_cost_formula(), m.bandwidth()) for m in moved}
+    assert len(costs) == 1
+    direct, formula, _ = costs.pop()
+    assert direct == formula == base.io_cost_direct()
+    word = code.random_codeword(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    targets = data.draw(st.lists(st.integers(1, ctx.order), min_size=3, max_size=3), label="targets")
+    for target in targets:
+        punctured = list(word)
+        punctured[target - 1] = None
+        assert moved[target - 1].repair_transcript(punctured)[0] == word[target - 1]
+
+
 def test_translate_requirements():
     short = RepairScheme(
         RSCode(GF8, [0, 1, 2, 3], 2), 1, [[g] for g in GF8.dual_basis]

@@ -117,7 +117,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_cost(args) -> int:
-    data = json.load(sys.stdin)
+    try:
+        data = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     if isinstance(data, dict) and "scheme" in data:
         data = data["scheme"]
     scheme = RepairScheme.from_dict(data)
@@ -218,9 +221,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    ctx = _context(args)  # the closed forms below assume a valid field
     table = compare_baselines(args.q, args.ell, args.s, args.k)
     if args.check:
-        ctx = _context(args)
         scheme = build_low_io_scheme(ctx, args.k, args.s)
         evidence = bandwidth_equals_io(scheme, args.s)
         table["measured_io"] = evidence["io_cost"]

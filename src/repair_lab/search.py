@@ -18,11 +18,14 @@ t < t0 and A_1(b_t0) = 1; one more slice holds A_1 = 0 whole (its orbits stay
 in it).  The scan visits q^(ell^2 (r-2)) * ((q^(ell^2) - 1)/(q^ell - 1) + 1)
 schemes, one packed modular q-ary Gray walk over each slice's free cells, one
 row addition per scheme.  The slices' Gray-counter ranges, laid end to end,
-are cut into equal contiguous loads for the worker processes.  Each load keeps
-its least cost and every (slice, counter) reaching it; the parent expands the
-ties by all scalings and reports the lexicographically smallest reduced-echelon
-basis (in the coordinates of basis[t] * x^d) among them, so the result does not
-depend on the worker count; REPAIR_LAB_THREADS caps the workers.
+are cut into equal contiguous loads for the worker processes
+(REPAIR_LAB_THREADS caps them); each keeps its least cost and every
+(slice, counter) reaching it.  The witness, whatever the worker count, is the
+lexicographically smallest reduced-echelon basis (over the basis[t] * x^d)
+among the tied orbits' members.  A scaling is B-linear in the e_{d,u}
+coordinates, so each c gives one table per search, the packed multiples of
+c^d e_{d,u}: an image row is a sum of entries, reduced by packed elimination
+(column 0 most significant, so integer order is tuple order).
 
 A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
 at interactive scale.
@@ -33,9 +36,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
 from itertools import repeat
-from operator import or_
+from operator import or_, xor
 
-from . import linalg
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
 from .fieldmath import FieldContext, poly_shift
 from .rs import RSCode
@@ -68,6 +70,40 @@ def visit_count(q: int, ell: int, r: int) -> int:
 
 
 # ---- the graph form ----------------------------------------------------------------
+
+
+class _Packing:
+    """Vectors of `width` digits mod q packed into b-bit fields, column 0 most
+    significant, so integer order is the vectors' tuple order.  A field sum >= q
+    shows in its high bit once 2^(b-1) - q is added (`over`); for q = 2 fields
+    are bits and addition is XOR."""
+
+    def __init__(self, q: int, width: int):
+        self.q, self.width = q, width
+        self.b = 1 if q == 2 else (2 * q - 1).bit_length() + 1
+        self.mask = (1 << self.b) - 1
+        self.ones = self.pack([1] * width)
+        self.high = self.ones << (self.b - 1)
+        self.over = ((1 << (self.b - 1)) - q) * self.ones
+        if q == 2:
+            self.add = xor  # shadows the method below; reduce() runs it in C
+
+    def pack(self, digits) -> int:
+        return reduce(lambda v, d: v << self.b | d, digits, 0)
+
+    def unpack(self, v: int) -> tuple[int, ...]:
+        return tuple(v >> j * self.b & self.mask for j in reversed(range(self.width)))
+
+    def add(self, x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + self.over) & self.high) >> (self.b - 1)) * self.q
+
+    def multiples(self, v: int) -> list[int]:
+        """[0, v, 2v, ..., (q-1)v]."""
+        out = [0, v]
+        for _ in range(self.q - 2):
+            out.append(self.add(out[-1], v))
+        return out
 
 
 def _cells(s: int, ell: int, r: int) -> list[tuple[int, int]]:
@@ -127,24 +163,44 @@ def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
     return RepairScheme(code, star, duals)
 
 
-def _orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):
-    """Flattened reduced-echelon bases, over the basis[t] * x^d, of slice s's
-    scheme at a Gray counter and, outside the A_1 = 0 slice, of all its q^ell - 1
-    scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole)."""
-    ell, shift = ctx.ell, ctx.neg(star - 1)
-    graph = [
-        [ctx.from_basis_coords(row[d * ell : (d + 1) * ell]) for d in range(r)]
-        for row in _graph_rows(ctx, r, s, counter)
-    ]
-    for c in range(1, ctx.order) if s < ell else (1,):
-        scale = [ctx.power(c, d) for d in range(r)]
-        rows = []
-        for coeffs in graph:
-            # b_t + sum_d c^d A_d(b_t) y^d at y = x - alpha*
-            g = poly_shift(ctx, [ctx.mul(f, a) for f, a in zip(scale, coeffs)], shift)
-            g += [0] * (r - len(g))
-            rows.append([x for a in g for x in ctx.basis_coords(a)])
-        yield tuple(x for row in linalg.rref(rows, ctx.q)[0] for x in row)
+def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: _Packing):
+    """Reduced-echelon bases, packed by pk (width r*ell) over the basis[t] * x^d,
+    of each tie (slice, counter) and, outside the A_1 = 0 slice, of all its
+    q^ell - 1 scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole)."""
+    q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
+    # (x - alpha*)^d as x^j coefficients, j < r
+    powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
+    tables = {}  # per c, g * c^d e_{d,u} packed, at index (d*ell + u)*q + g
+    for c in range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,):
+        table = tables[c] = []
+        for d in range(r):
+            for b in ctx.basis:
+                cb = ctx.mul(ctx.power(c, d), b)
+                coords = (x for a in powers[d] for x in ctx.basis_coords(ctx.mul(cb, a)))
+                table += pk.multiples(pk.pack(coords))
+    for s, counter in ties:
+        rows = _graph_rows(ctx, r, s, counter)
+        graph = [[k * q + g for k, g in enumerate(row) if g] for row in rows]
+        for c in tables if s < ell else (1,):
+            entry = tables[c].__getitem__
+            yield _echelon(pk, [reduce(pk.add, map(entry, row)) for row in graph])
+
+
+def _echelon(pk: _Packing, rows: list[int]) -> list[int]:
+    """Reduced echelon form of independent packed rows, pivot columns ascending."""
+    q, b, mask, add = pk.q, pk.b, pk.mask, pk.add
+    rest, done = list(rows), []
+    while rest:
+        v = max(rest)  # the leftmost pivot is the highest nonzero field
+        rest.remove(v)
+        f = (v.bit_length() - 1) // b * b
+        mult = pk.multiples(v)
+        inv = pow(v >> f & mask, q - 2, q)  # the pivot row is mult[inv]
+        clear = [mult[-g * inv % q] for g in range(q)]  # -g * pivot row
+        rest = [add(w, clear[w >> f & mask]) for w in rest]
+        done = [add(w, clear[w >> f & mask]) for w in done]
+        done.append(mult[inv])
+    return done
 
 
 # ---- the scan ----------------------------------------------------------------------
@@ -178,43 +234,25 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
     t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
     dual-space row is added to one scheme row.  Rows (n*ell subsymbol
-    coordinates) are packed into b-bit fields; a field sum >= q shows in its
-    high bit once 2^(b-1) - q is added (for q = 2 fields are bits and addition
-    is XOR).  The cost counts the nonzero fields of the rows' OR, less the ell
-    columns of the failed node; the OR of the slow rows is rebuilt only when
-    one of them moves.
+    coordinates) are packed by _Packing.  The cost counts the nonzero fields of
+    the rows' OR, less the ell columns of the failed node; the OR of the slow
+    rows is rebuilt only when one of them moves.
     """
     q, ell = ctx.q, ctx.ell
     data = _shifted_rows(ctx, r, star)
-    b = 1 if q == 2 else (2 * q - 1).bit_length() + 1
-    shift = b - 1
-
-    def pack(digits) -> int:
-        return sum(d << (j * b) for j, d in enumerate(digits))
-
-    P = [pack(row) for row in data]
-    ones = pack([1] * len(data[0]))
-    high = ones << shift
-    over, nonzero = ((1 << shift) - q) * ones, ((1 << shift) - 1) * ones
-
-    def add(x: int, y: int) -> int:
-        if q == 2:
-            return x ^ y
-        s = x + y
-        return s - (((s + over) & high) >> shift) * q
+    pk = _Packing(q, len(data[0]))
+    P = [pk.pack(row) for row in data]
+    high, over, shift, nonzero = pk.high, pk.over, pk.b - 1, pk.high - pk.ones
 
     fast = ell - 1
     count, best, ties = 0, ctx.order * ell, []  # every cost is below n*ell
     for s, start, stop in items:
         cells = _cells(s, ell, r)
         a = [start // q**j % q for j in range(len(cells))] + [0]
-        rows = []
-        for coords in _graph_rows(ctx, r, s, start):
-            row = 0
-            for c, coef in enumerate(coords):
-                for _ in range(coef):
-                    row = add(row, P[c])
-            rows.append(row)
+        rows = [
+            reduce(pk.add, [P[c] for c, g in enumerate(coords) for _ in range(g)], 0)
+            for coords in _graph_rows(ctx, r, s, start)
+        ]
         t, i = start, None
         while True:
             if i != fast:  # a slow row moved (or this range just began)
@@ -233,7 +271,7 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
                 j += 1
             a[j] += 1
             i, c = cells[j]
-            if q == 2:  # add() inlined: this is the hot loop
+            if q == 2:  # pk.add inlined: this is the hot loop
                 rows[i] ^= P[c]
             else:
                 v = rows[i] + P[c]
@@ -294,10 +332,9 @@ def min_io_exhaustive(
         raise VerificationError(f"visited {total} schemes, expected {expected}")
     cost = min(best for _, best, _ in results)
     ties = [tie for _, best, found in results if best == cost for tie in found]
-    key = min(k for tie in ties for k in _orbit_keys(ctx, r, star, *tie))
-    m = r * ell
-    rows = [key[i * m : (i + 1) * m] for i in range(ell)]
-    scheme = _rows_to_scheme(ctx, rows, r, star)
+    pk = _Packing(q, r * ell)
+    key = min(_orbit_keys(ctx, r, star, ties, pk))
+    scheme = _rows_to_scheme(ctx, [pk.unpack(v) for v in key], r, star)
     if scheme.validate() is not None or scheme.io_cost_direct() != cost:
         raise VerificationError("witness scheme does not reproduce the minimum")
     return cost, scheme

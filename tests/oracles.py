@@ -10,11 +10,13 @@ from itertools import accumulate, combinations, product
 from operator import or_
 
 from repair_lab import linalg
-from repair_lab.fieldmath import FieldContext, _is_prime, poly_deg, poly_eval, poly_trim
+from repair_lab.fieldmath import (
+    FieldContext, _is_prime, poly_deg, poly_eval, poly_shift, poly_trim,
+)
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _rows_to_scheme
+from repair_lab.search import _graph_rows, _rows_to_scheme
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -273,3 +275,24 @@ def pattern_scan(ctx: FieldContext, r: int, star: int):
             rows[i], vals[i] = add(rows[i], P[c]), add(vals[i], V[c])
         count += stop
     return count, best
+
+
+def orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):
+    """Flattened reduced-echelon bases, over the basis[t] * x^d, of slice s's
+    scheme at a Gray counter and, outside the A_1 = 0 slice, of all its q^ell - 1
+    scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole).  Each image is
+    built as polynomials and reduced by linalg.rref."""
+    ell, shift = ctx.ell, ctx.neg(star - 1)
+    graph = [
+        [ctx.from_basis_coords(row[d * ell : (d + 1) * ell]) for d in range(r)]
+        for row in _graph_rows(ctx, r, s, counter)
+    ]
+    for c in range(1, ctx.order) if s < ell else (1,):
+        scale = [ctx.power(c, d) for d in range(r)]
+        rows = []
+        for coeffs in graph:
+            # b_t + sum_d c^d A_d(b_t) y^d at y = x - alpha*
+            g = poly_shift(ctx, [ctx.mul(f, a) for f, a in zip(scale, coeffs)], shift)
+            g += [0] * (r - len(g))
+            rows.append([x for a in g for x in ctx.basis_coords(a)])
+        yield tuple(x for row in linalg.rref(rows, ctx.q)[0] for x in row)

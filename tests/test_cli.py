@@ -185,6 +185,26 @@ def test_cost_malformed_scheme_no_traceback_subprocess(text):
     assert "Traceback" not in proc.stderr
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "text", [_DEEP, json.dumps(_GOOD_DOC)[:-1] + ', "extra": ' + _DEEP + "}"],
+    ids=["bare", "inside-a-scheme"],
+)
+def test_cost_deeply_nested_json_exits_2(text):
+    proc = subprocess.run(
+        [sys.executable, "-m", "repair_lab", "cost"],
+        input=text,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
 _TIMED_MAIN = """
 import sys, time
 from repair_lab import cli
@@ -208,8 +228,11 @@ def _limit_memory():
         (["field-info", "--q", "2", "--ell", str(10**8)], ""),
         (["cost"], json.dumps({**_GOOD_DOC, "ell": 10**30})),
         (["cost"], json.dumps({**_GOOD_DOC, "ell": 10**30, "modulus": [1, 1, 1]})),
+        (["compare", "--q", "2", "--ell", str(10**12), "--s", "0", "--k", "3"], ""),
+        (["compare", "--q", "2", "--ell", str(10**5), "--s", "0", "--k", "3"], ""),
     ],
-    ids=["field-info-1e12", "field-info-1e8", "cost-1e30", "cost-1e30-modulus"],
+    ids=["field-info-1e12", "field-info-1e8", "cost-1e30", "cost-1e30-modulus",
+         "compare-1e12", "compare-1e5"],
 )
 def test_huge_ell_exits_2_at_once(argv, stdin):
     # q**ell must not be formed before the modulus is resolved; a 1 GB address

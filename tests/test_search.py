@@ -16,7 +16,7 @@ from repair_lab.search import (
     visit_count,
 )
 
-from oracles import iter_echelon_bases, iter_valid_schemes, pattern_scan
+from oracles import iter_echelon_bases, iter_valid_schemes, orbit_keys, pattern_scan
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -203,14 +203,34 @@ def test_min_io_matches_the_subspace_oracle_at_every_node(monkeypatch, ctx, r):
             assert (found, scheme.to_dict()) == (cost, witness)
 
 
+@pytest.mark.parametrize("q,ell,r,ties", [(2, 3, 3, 75), (2, 4, 2, 88)])
+def test_tie_heavy_minimum_matches_the_subspace_oracle(monkeypatch, q, ell, r, ties):
+    # the witness is chosen among every tied orbit's q^ell - 1 images
+    monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
+    ctx = FieldContext(q, ell)
+    for star in (1, 2, ctx.order):
+        count, (cost, key) = pattern_scan(ctx, r, star)
+        assert count == gaussian_binomial(r * ell, ell, q)
+        witness = _key_to_scheme(ctx, r, star, key).to_dict()
+        _, least, found = search._scan(ctx, r, star, search._slices(ell, r, q))
+        assert (least, len(found)) == (cost, ties)
+        for workers in (1, 2):
+            found, scheme = min_io_exhaustive(ctx, r, star=star, workers=workers)
+            assert (found, scheme.to_dict()) == (cost, witness)
+
+
 @pytest.mark.parametrize("ctx,r,star", [(GF4, 3, 2), (GF8, 2, 5), (GF9, 2, 7),
                                         (FieldContext(3, 2, None, [2, 4]), 2, 3)])
 def test_visited_orbits_cover_every_valid_scheme_once(ctx, r, star):
-    images = Counter(
-        key
+    pk = search._Packing(ctx.q, r * ctx.ell)
+    visited = [
+        (s, counter)
         for s, start, stop in search._slices(ctx.ell, r, ctx.q)
         for counter in range(start, stop)
-        for key in search._orbit_keys(ctx, r, star, s, counter)
+    ]
+    images = Counter(
+        sum(map(pk.unpack, key), ())
+        for key in search._orbit_keys(ctx, r, star, visited, pk)
     )
     valid = {
         sum(rows, ())
@@ -219,6 +239,29 @@ def test_visited_orbits_cover_every_valid_scheme_once(ctx, r, star):
     }
     assert set(images) == valid
     assert set(images.values()) == {1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_packed_orbit_keys_match_the_polynomial_oracle(data):
+    ctx = data.draw(st.sampled_from([
+        GF4, GF8, GF9, FieldContext(5, 2), FieldContext(2, 3, [1, 0, 1, 1], [3, 5, 7]),
+        FieldContext(3, 2, None, [2, 4]),
+    ]))
+    r = data.draw(st.integers(2, 3))
+    star = data.draw(st.integers(1, ctx.order))
+    slices = search._slices(ctx.ell, r, ctx.q)
+    ties = data.draw(st.lists(
+        st.sampled_from(slices).flatmap(
+            lambda item: st.tuples(st.just(item[0]), st.integers(0, item[2] - 1))
+        ),
+        min_size=1, max_size=4,
+    ))
+    pk = search._Packing(ctx.q, r * ctx.ell)
+    key = min(search._orbit_keys(ctx, r, star, ties, pk))
+    assert sum(map(pk.unpack, key), ()) == min(
+        k for tie in ties for k in orbit_keys(ctx, r, star, *tie)
+    )
 
 
 def _substitute(scheme, c):

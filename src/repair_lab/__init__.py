@@ -12,7 +12,6 @@ from .rs import RSCode
 from .scheme import RepairScheme
 from .qpoly import qp_image, solve_annihilator, subspace_intersect_kernels
 from .construction import (
-    bandwidth_equals_io,
     build_low_io_scheme,
     compare_baselines,
     has_block_shape,
@@ -30,7 +29,6 @@ __all__ = [
     "qp_image",
     "solve_annihilator",
     "subspace_intersect_kernels",
-    "bandwidth_equals_io",
     "build_low_io_scheme",
     "compare_baselines",
     "has_block_shape",

@@ -11,7 +11,6 @@ import json
 import sys
 
 from .construction import (
-    bandwidth_equals_io,
     build_low_io_scheme,
     compare_baselines,
     largest_valid_s,
@@ -95,7 +94,7 @@ def _construction(args):
 def _cmd_construct(args) -> int:
     ctx, s, scheme = _construction(args)
     n = ctx.order
-    report = scheme.cost_report().to_dict()
+    report = scheme.cost_report()
     payload = {
         "s": s,
         "predicted": predicted_cost(ctx.q, ctx.ell, s),
@@ -125,7 +124,7 @@ def _cmd_cost(args) -> int:
         data = data["scheme"]
     scheme = RepairScheme.from_dict(data)
     scheme.require_valid()
-    report = scheme.cost_report().to_dict()
+    report = scheme.cost_report()
 
     def human(p):
         print(f"scheme for node {p['node']} of n={p['n']} k={p['k']}")
@@ -177,7 +176,7 @@ def _cmd_repair_demo(args) -> int:
 def _cmd_search_min(args) -> int:
     ctx = _context(args)
     cost, scheme = min_io_exhaustive(ctx, args.r, star=args.node, workers=args.workers)
-    report = scheme.cost_report().to_dict()
+    report = scheme.cost_report()
     payload = {
         "q": ctx.q,
         "ell": ctx.ell,
@@ -225,9 +224,8 @@ def _cmd_compare(args) -> int:
     table = compare_baselines(args.q, args.ell, args.s, args.k)
     if args.check:
         scheme = build_low_io_scheme(ctx, args.k, args.s)
-        evidence = bandwidth_equals_io(scheme, args.s)
-        table["measured_io"] = evidence["io_cost"]
-        table["measured_bandwidth"] = evidence["bandwidth"]
+        table["measured_io"] = scheme.io_cost_direct()
+        table["measured_bandwidth"] = scheme.bandwidth()
 
     def human(p):
         print(f"q={p['q']} ell={p['ell']} s={p['s']} k={p['k']} (n={p['n']})")

@@ -98,23 +98,6 @@ def has_block_shape(scheme: RepairScheme, s: int, i: int) -> bool:
     return True
 
 
-def bandwidth_equals_io(scheme: RepairScheme, s: int) -> dict:
-    """Per-helper evidence that transmitted = read for a construction scheme:
-    rank, nonzero columns, and the block shape that forces them equal."""
-    report = scheme.cost_report()
-    per_node = [
-        {"i": row["i"], "rank": row["rank"], "nz": row["nz"],
-         "block_shape": has_block_shape(scheme, s, row["i"])}
-        for row in report.per_node
-    ]
-    return {
-        "equal": report.bandwidth == report.io_cost,
-        "bandwidth": report.bandwidth,
-        "io_cost": report.io_cost,
-        "per_node": per_node,
-    }
-
-
 def compare_baselines(q: int, ell: int, s: int, k: int) -> dict:
     """Closed-form comparison table for the full-length code of dimension k.
 

@@ -5,11 +5,12 @@ ell.  An element with polynomial coordinates (d_0, ..., d_{ell-1}) is encoded as
 plain integer sum(d_i * q**i), so 0 and 1 are the field's zero and one, the integers
 0..q-1 are exactly the subfield B, and for q=2 the encoding is the usual bit packing.
 
-A FieldContext fixes q, ell, the modulus, and a working basis of F over B (default:
-the polynomial basis 1, x, ..., x^{ell-1}).  When the field is small enough the
-context precomputes discrete log/antilog and trace tables, and on first use an
-element -> coordinate table for each expansion below; larger fields fall back to
-direct polynomial arithmetic.  All arithmetic is exact — no floating point.
+A FieldContext fixes q, ell, the modulus (default: the monic irreducible of degree
+ell with the smallest encoding, for fields up to 5^12), and a working basis of F
+over B (default: the polynomial basis 1, x, ..., x^{ell-1}).  When the field is
+small enough the context precomputes discrete log/antilog and trace tables, and on
+first use an element -> coordinate table for each expansion below; larger fields
+fall back to direct polynomial arithmetic.  All arithmetic is exact — no floating point.
 
 Every table is filled by linearity over B.  The trace, multiplication by the
 generator g and both coordinate expansions are B-linear maps f, so f is fixed by
@@ -47,47 +48,9 @@ from . import linalg
 # Largest field for which log/exp and trace tables are precomputed.
 _TABLE_LIMIT = 1 << 16
 
-# Lexicographically smallest monic irreducible polynomial per (q, degree),
-# coefficients ascending.  Computed once by trial division and frozen here;
-# construction re-checks irreducibility anyway.
-_DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
-    (2, 1): (0, 1),
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
-    (2, 6): (1, 1, 0, 0, 0, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
-    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
-    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (3, 1): (0, 1),
-    (3, 2): (1, 0, 1),
-    (3, 3): (1, 2, 0, 1),
-    (3, 4): (2, 1, 0, 0, 1),
-    (3, 5): (1, 2, 0, 0, 0, 1),
-    (3, 6): (2, 1, 0, 0, 0, 0, 1),
-    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
-    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
-    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
-    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
-    (3, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (5, 1): (0, 1),
-    (5, 2): (2, 0, 1),
-    (5, 3): (1, 1, 0, 1),
-    (5, 4): (2, 0, 0, 0, 1),
-    (5, 5): (1, 4, 0, 0, 0, 1),
-    (5, 6): (2, 1, 0, 0, 0, 0, 1),
-    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1),
-    (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
-    (5, 9): (3, 2, 1, 0, 0, 0, 0, 0, 0, 1),
-    (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
-    (5, 11): (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-    (5, 12): (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
-}
+# Largest field whose default modulus is derived: the first monic irreducible
+# of degree ell in encoding order (Lidl-Niederreiter, Finite Fields, ch. 3).
+_DERIVE_LIMIT = 5**12
 
 
 def _is_int(x) -> bool:
@@ -117,8 +80,9 @@ def _poly_rem(a: list[int], b: tuple[int, ...], q: int) -> list[int]:
     return a[:db]
 
 
-def _check_irreducible(modulus: tuple[int, ...], q: int) -> None:
-    """Trial division by every monic polynomial of degree <= deg(modulus)/2."""
+def _divisor(modulus: tuple[int, ...], q: int) -> list[int] | None:
+    """A monic divisor of degree 1..deg(modulus)/2 found by trial division, or
+    None when the modulus is irreducible."""
     deg = len(modulus) - 1
     for d in range(1, deg // 2 + 1):
         for enc in range(q**d):
@@ -127,11 +91,21 @@ def _check_irreducible(modulus: tuple[int, ...], q: int) -> None:
                 g.append(e % q)
                 e //= q
             g.append(1)
-            rem = _poly_rem(list(modulus), tuple(g), q)
-            if not any(rem):
-                raise ValueError(
-                    f"modulus {list(modulus)} is divisible by {g}, not irreducible"
-                )
+            if not any(_poly_rem(modulus, tuple(g), q)):
+                return g
+    return None
+
+
+def _default_modulus(q: int, ell: int) -> tuple[int, ...]:
+    """The monic irreducible of degree ell with the smallest encoding, for
+    fields up to _DERIVE_LIMIT; ell is bounded before q**ell is formed."""
+    if ell >= _DERIVE_LIMIT.bit_length() or q**ell > _DERIVE_LIMIT:
+        raise ValueError(f"no built-in modulus for q={q}, ell={ell}; supply one explicitly")
+    for enc in range(q**ell):
+        modulus = tuple(enc // q**i % q for i in range(ell)) + (1,)
+        if _divisor(modulus, q) is None:
+            return modulus
+    raise AssertionError(f"no irreducible of degree {ell} over GF({q})")
 
 
 class FieldContext:
@@ -155,20 +129,18 @@ class FieldContext:
         # the modulus is resolved and length-checked before q**ell is formed, so
         # a huge ell fails fast instead of exhausting memory
         if modulus is None:
-            try:
-                modulus = _DEFAULT_MODULI[(q, ell)]
-            except KeyError:
-                raise ValueError(
-                    f"no built-in modulus for q={q}, ell={ell}; supply one explicitly"
-                ) from None
-        if not all(_is_int(c) for c in modulus):
-            raise ValueError(f"modulus coefficients must be integers, got {list(modulus)!r}")
-        modulus = tuple(c % q for c in modulus)
-        if len(modulus) != ell + 1:
-            raise ValueError(f"modulus must have degree {ell}")
-        if modulus[-1] != 1:
-            raise ValueError("modulus must be monic")
-        _check_irreducible(modulus, q)
+            modulus = _default_modulus(q, ell)  # irreducible by construction
+        else:
+            if not all(_is_int(c) for c in modulus):
+                raise ValueError(f"modulus coefficients must be integers, got {list(modulus)!r}")
+            modulus = tuple(c % q for c in modulus)
+            if len(modulus) != ell + 1:
+                raise ValueError(f"modulus must have degree {ell}")
+            if modulus[-1] != 1:
+                raise ValueError("modulus must be monic")
+            g = _divisor(modulus, q)
+            if g is not None:
+                raise ValueError(f"modulus {list(modulus)} is divisible by {g}, not irreducible")
         self.q = q
         self.ell = ell
         self.order = q**ell

@@ -23,7 +23,6 @@ at zero for full-length codes).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import linalg
@@ -37,36 +36,6 @@ from .fieldmath import (
     poly_trim,
 )
 from .rs import RSCode
-
-
-@dataclass
-class CostReport:
-    """Everything one repair costs: per-helper matrix summaries plus the totals
-    by both routes.  `per_node` rows are dicts {"i", "rank", "nz", "cols"} with
-    1-based node and column indices, helpers only."""
-
-    q: int
-    ell: int
-    n: int
-    k: int
-    node: int
-    bandwidth: int
-    io_cost: int
-    io_cost_formula: int
-    per_node: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "ell": self.ell,
-            "n": self.n,
-            "k": self.k,
-            "node": self.node,
-            "bandwidth": self.bandwidth,
-            "io_cost": self.io_cost,
-            "io_cost_formula": self.io_cost_formula,
-            "per_node": [dict(row) for row in self.per_node],
-        }
 
 
 class RepairScheme:
@@ -266,23 +235,25 @@ class RepairScheme:
 
     # ---- reporting ---------------------------------------------------------------------
 
-    def cost_report(self) -> CostReport:
-        q, ell = self.ctx.q, self.ctx.ell
+    def cost_report(self) -> dict:
+        """Everything one repair costs: per-helper matrix summaries plus the
+        totals by both routes.  `per_node` rows are dicts {"i", "rank", "nz",
+        "cols"} with 1-based node and column indices, helpers only."""
         per_node = []
         for i, rank in zip(self.helpers(), self._ranks):
             cols = self.accessed_subsymbols(i)
             per_node.append({"i": i, "rank": rank, "nz": len(cols), "cols": cols})
-        return CostReport(
-            q=q,
-            ell=ell,
-            n=self.code.n,
-            k=self.code.k,
-            node=self.star,
-            bandwidth=sum(row["rank"] for row in per_node),
-            io_cost=sum(row["nz"] for row in per_node),
-            io_cost_formula=self.io_cost_formula(),
-            per_node=per_node,
-        )
+        return {
+            "q": self.ctx.q,
+            "ell": self.ctx.ell,
+            "n": self.code.n,
+            "k": self.code.k,
+            "node": self.star,
+            "bandwidth": sum(row["rank"] for row in per_node),
+            "io_cost": sum(row["nz"] for row in per_node),
+            "io_cost_formula": self.io_cost_formula(),
+            "per_node": per_node,
+        }
 
     # ---- serialization -----------------------------------------------------------------
 

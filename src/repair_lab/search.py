@@ -18,8 +18,8 @@ t < t0 and A_1(b_t0) = 1; one more slice holds A_1 = 0 whole (its orbits stay
 in it).  The scan visits q^(ell^2 (r-2)) * ((q^(ell^2) - 1)/(q^ell - 1) + 1)
 schemes, one packed modular q-ary Gray walk over each slice's free cells, one
 row addition per scheme.  The slices' Gray-counter ranges, laid end to end,
-are cut into equal contiguous loads for the worker processes
-(REPAIR_LAB_THREADS caps them); each keeps its least cost and every
+are cut into equal contiguous loads for the worker processes (the CPU count
+and REPAIR_LAB_THREADS cap them); each keeps its least cost and every
 (slice, counter) reaching it.  The witness, whatever the worker count, is the
 lexicographically smallest reduced-echelon basis (over the basis[t] * x^d)
 among the tied orbits' members.  A scaling is B-linear in the e_{d,u}
@@ -286,8 +286,8 @@ def _check_workers(workers: int | None) -> None:
 
 
 def _resolve_workers(workers: int | None, nitems: int) -> int:
-    if workers is None:
-        workers = os.cpu_count() or 1
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None else min(workers, cpus)
     env = os.environ.get("REPAIR_LAB_THREADS")
     if env:
         workers = min(workers, max(1, int(env)))
@@ -306,7 +306,7 @@ def min_io_exhaustive(
     (the one with lexicographically smallest echelon basis).
 
     Raises ValueError when the visit count exceeds the cap or workers < 1
-    (None means one per CPU).
+    (None means one per CPU, and more than that are not started).
     """
     _check_workers(workers)
     n, ell, q = ctx.order, ctx.ell, ctx.q

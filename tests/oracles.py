@@ -20,6 +20,72 @@ from repair_lab.search import _graph_rows, _rows_to_scheme
 
 # ---- field and polynomials ---------------------------------------------------------
 
+# The modulus table the library shipped before it derived its default moduli:
+# the first monic irreducible per (q, degree) in encoding order, coefficients
+# ascending, computed once by trial division and frozen.
+DEFAULT_MODULI: dict[tuple[int, int], tuple[int, ...]] = {
+    (2, 1): (0, 1),
+    (2, 2): (1, 1, 1),
+    (2, 3): (1, 1, 0, 1),
+    (2, 4): (1, 1, 0, 0, 1),
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 1): (0, 1),
+    (3, 2): (1, 0, 1),
+    (3, 3): (1, 2, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (3, 8): (2, 0, 1, 0, 0, 0, 0, 0, 1),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 12): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 1): (0, 1),
+    (5, 2): (2, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (5, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (5, 8): (2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 9): (3, 2, 1, 0, 0, 0, 0, 0, 0, 1),
+    (5, 10): (3, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 11): (1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 12): (4, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+}
+
+
+def first_irreducible(q: int, ell: int) -> tuple[int, ...]:
+    """The first monic polynomial of degree ell in encoding order (ascending
+    coefficients as base-q digits) that is not a product of two monic
+    polynomials of lower degree, found by enumerating every such product."""
+    monic = {
+        d: [tuple(c) + (1,) for c in product(range(q), repeat=d)] for d in range(1, ell)
+    }
+    products = set()
+    for d in range(1, ell // 2 + 1):
+        for f in monic[d]:
+            for g in monic[ell - d]:
+                out = [0] * (ell + 1)
+                for i, x in enumerate(f):
+                    for j, y in enumerate(g):
+                        out[i + j] = (out[i + j] + x * y) % q
+                products.add(tuple(out))
+    for low in product(range(q), repeat=ell):
+        candidate = tuple(reversed(low)) + (1,)
+        if candidate not in products:
+            return candidate
+    raise AssertionError("every monic polynomial factors")
+
+
 
 def field_tables_oracle(ctx: FieldContext) -> tuple[list[int], list[int], list[int]]:
     """The antilog, log and trace tables built element by element: the smallest

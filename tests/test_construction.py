@@ -1,7 +1,6 @@
 import pytest
 
 from repair_lab.construction import (
-    bandwidth_equals_io,
     build_low_io_scheme,
     compare_baselines,
     has_block_shape,
@@ -108,20 +107,19 @@ def test_each_leading_column_rests_at_q_to_ell_minus_one_nodes(ctx, k, s):
 
 def test_bandwidth_equals_io_witness():
     scheme = build_low_io_scheme(GF8, 5, 1)
-    evidence = bandwidth_equals_io(scheme, 1)
-    assert evidence["equal"]
-    assert evidence["bandwidth"] == evidence["io_cost"] == 13
-    assert len(evidence["per_node"]) == 7
-    for row in evidence["per_node"]:
+    report = scheme.cost_report()
+    assert report["bandwidth"] == report["io_cost"] == 13
+    assert len(report["per_node"]) == 7
+    for row in report["per_node"]:
         assert row["rank"] == row["nz"]
-        assert row["block_shape"]
+        assert has_block_shape(scheme, 1, row["i"])
 
 
 def test_bandwidth_equals_io_gf16():
     scheme = build_low_io_scheme(FieldContext(2, 4), 13, 0)
-    evidence = bandwidth_equals_io(scheme, 0)
-    assert evidence["equal"]
-    assert evidence["bandwidth"] == evidence["io_cost"] == 52
+    report = scheme.cost_report()
+    assert report["bandwidth"] == report["io_cost"] == 52
+    assert all(has_block_shape(scheme, 0, i) for i in scheme.helpers())
 
 
 def test_compare_baselines_reference_row():

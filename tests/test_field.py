@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repair_lab.fieldmath import (
     FieldContext,
+    _default_modulus,
     coset_weight,
     poly_deg,
     poly_eval,
@@ -15,7 +16,9 @@ from repair_lab.fieldmath import (
     poly_trim,
 )
 
-from oracles import coords_oracle, field_tables_oracle, poly_mul
+from oracles import (
+    DEFAULT_MODULI, coords_oracle, field_tables_oracle, first_irreducible, poly_mul,
+)
 
 GF4 = FieldContext(2, 2)  # x^2 + x + 1; 2 encodes the modulus root w
 GF8 = FieldContext(2, 3)  # x^3 + x + 1
@@ -63,6 +66,30 @@ def test_bad_ell_rejected():
 def test_missing_builtin_modulus():
     with pytest.raises(ValueError, match="supply"):
         FieldContext(5, 13)
+
+
+@pytest.mark.parametrize("q,ell", sorted(DEFAULT_MODULI))
+def test_derived_modulus_matches_the_frozen_table(q, ell):
+    assert _default_modulus(q, ell) == DEFAULT_MODULI[(q, ell)]
+
+
+_SMALL_FIELDS = [
+    (q, ell) for q in (2, 3, 5, 7, 11, 13) for ell in range(1, 12) if q**ell <= 2000
+]
+
+
+@pytest.mark.parametrize("q,ell", _SMALL_FIELDS)
+def test_derived_modulus_is_the_first_non_product(q, ell):
+    assert FieldContext(q, ell).modulus == first_irreducible(q, ell)
+
+
+def test_derived_moduli_stop_at_five_to_the_twelfth():
+    # the largest derived fields for q = 7 and 13 sit just under 5^12
+    assert _default_modulus(7, 9) == (2, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+    assert _default_modulus(13, 7) == (2, 3, 0, 0, 0, 0, 0, 1)
+    for q, ell in ((2, 28), (3, 18), (7, 10), (13, 8), (17, 7), (2, 10**12)):
+        with pytest.raises(ValueError, match="supply one explicitly"):
+            FieldContext(q, ell)
 
 
 def test_modulus_shape_checks():
@@ -120,7 +147,11 @@ def test_zero_has_no_inverse():
         GF8.div(3, 0)
 
 
-@pytest.mark.parametrize("ctx", [GF8, GF9], ids=["gf8", "gf9"])
+@pytest.mark.parametrize(
+    "ctx",
+    [GF8, GF9, FieldContext(7, 2), FieldContext(3, 11)],
+    ids=["gf8", "gf9", "gf49", "gf3-11"],
+)
 def test_field_axioms_spot(ctx):
     rng = random.Random(2)
     for _ in range(50):
@@ -243,8 +274,8 @@ def test_coordinate_map_is_linear():
         assert ctx.basis_coords(ctx.mul(c, a)) == tuple((c * x) % ctx.q for x in pa)
 
 
-# Every table against the element-by-element builders: q in {2, 3, 5}, degree
-# one, a modulus whose root x is not primitive, and non-polynomial bases.
+# Every table against the element-by-element builders: q in {2, 3, 5, 7, 11},
+# degree one, a modulus whose root x is not primitive, and non-polynomial bases.
 TABLE_FIELDS = [
     FieldContext(2, 1),
     FieldContext(2, 2),
@@ -263,6 +294,8 @@ TABLE_FIELDS = [
     FieldContext(5, 2),
     FieldContext(5, 3),
     FieldContext(5, 2, basis=[3, 7]),
+    FieldContext(7, 2),
+    FieldContext(11, 2),
 ]
 
 

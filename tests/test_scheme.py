@@ -142,7 +142,7 @@ def test_io_table_matches_the_direct_expansion():
         assert scheme.bandwidth() == sum(ranks)
         assert scheme.io_cost_direct() == sum(len(c) for c in cols)
         report = scheme.cost_report()
-        assert report.per_node == [
+        assert report["per_node"] == [
             {"i": i, "rank": rank, "nz": len(c), "cols": c}
             for i, rank, c in zip(helpers, ranks, cols)
         ]
@@ -165,7 +165,7 @@ def test_helper_ranks_are_computed_once(monkeypatch):
     assert shapes == [(ell, ell)] * (n - 1)
     del shapes[:]
     report = scheme.cost_report()
-    assert report.bandwidth == report.io_cost == 36
+    assert report["bandwidth"] == report["io_cost"] == 36
     # only validate() at the failed node and the formula route's stacked matrix
     assert sorted(shapes) == [(ell, ell), (ell, n * ell)]
 
@@ -187,14 +187,14 @@ def test_io_matrix_copies_cannot_corrupt_the_scheme():
     word = scheme.code.random_codeword(5)
     erased = word[0]
     word[0] = None
-    before = (scheme.cost_report().to_dict(), scheme.repair_transcript(word))
+    before = (scheme.cost_report(), scheme.repair_transcript(word))
     for i in range(1, scheme.code.n + 1):
         w = scheme.io_matrix(i)
         for row in w:
             row[:] = [1] * len(row)
         w.append([0] * len(w[0]))
     scheme.stacked_io_matrix()[0][0] ^= 1
-    after = (scheme.cost_report().to_dict(), scheme.repair_transcript(word))
+    after = (scheme.cost_report(), scheme.repair_transcript(word))
     assert after == before
     assert after[1][0] == erased
 
@@ -426,20 +426,26 @@ def test_translate_requirements():
 def test_cost_report_totals():
     scheme = build_low_io_scheme(GF8, 5, 1)
     report = scheme.cost_report()
-    assert report.node == 1
-    assert report.n == 8 and report.k == 5
-    assert report.bandwidth == scheme.bandwidth()
-    assert report.io_cost == scheme.io_cost_direct()
-    assert report.io_cost_formula == report.io_cost
-    assert len(report.per_node) == 7
-    for row in report.per_node:
+    assert report["node"] == 1
+    assert report["n"] == 8 and report["k"] == 5
+    assert report["bandwidth"] == scheme.bandwidth()
+    assert report["io_cost"] == scheme.io_cost_direct()
+    assert report["io_cost_formula"] == report["io_cost"]
+    assert len(report["per_node"]) == 7
+    for row in report["per_node"]:
         assert row["nz"] == len(row["cols"])
         assert row["rank"] <= row["nz"]
-    assert sum(row["nz"] for row in report.per_node) == report.io_cost
+    assert sum(row["nz"] for row in report["per_node"]) == report["io_cost"]
 
 
 def test_cost_report_serializes_to_json():
-    report = _trivial_scheme(GF9, 4).cost_report().to_dict()
+    scheme = _trivial_scheme(GF9, 4)
+    report = scheme.cost_report()
+    assert list(report) == [
+        "q", "ell", "n", "k", "node", "bandwidth", "io_cost", "io_cost_formula", "per_node",
+    ]
+    report["per_node"][0]["cols"].append(99)
+    assert scheme.cost_report()["per_node"][0]["cols"] != report["per_node"][0]["cols"]
     parsed = json.loads(json.dumps(report))
     assert parsed["q"] == 3 and parsed["ell"] == 2
     assert parsed["bandwidth"] == parsed["io_cost"] == 16

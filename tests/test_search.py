@@ -116,6 +116,7 @@ def test_parallel_scan_matches_serial(monkeypatch):
         serial_cost, serial_witness = min_io_exhaustive(ctx, r, star=star, workers=1)
         with monkeypatch.context() as patch:
             patch.setattr(search, "_PARALLEL_THRESHOLD", 1)
+            patch.setattr(search.os, "cpu_count", lambda: 4)
             for workers in (2, 3):
                 cost, witness = min_io_exhaustive(ctx, r, star=star, workers=workers)
                 assert cost == serial_cost == expect
@@ -194,6 +195,7 @@ def test_scanner_matches_oracle(data):
 )
 def test_min_io_matches_the_subspace_oracle_at_every_node(monkeypatch, ctx, r):
     monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     for star in range(1, ctx.order + 1):
         count, (cost, key) = pattern_scan(ctx, r, star)
         assert count == gaussian_binomial(r * ctx.ell, ctx.ell, ctx.q)
@@ -203,7 +205,7 @@ def test_min_io_matches_the_subspace_oracle_at_every_node(monkeypatch, ctx, r):
             assert (found, scheme.to_dict()) == (cost, witness)
 
 
-@pytest.mark.parametrize("q,ell,r,ties", [(2, 3, 3, 75), (2, 4, 2, 88)])
+@pytest.mark.parametrize("q,ell,r,ties", [(2, 3, 3, 75), (2, 4, 2, 88), (7, 2, 2, 2)])
 def test_tie_heavy_minimum_matches_the_subspace_oracle(monkeypatch, q, ell, r, ties):
     # the witness is chosen among every tied orbit's q^ell - 1 images
     monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
@@ -355,12 +357,45 @@ def test_split_loads_scan_to_the_serial_result():
 
 
 def test_worker_env_cap(monkeypatch):
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
     monkeypatch.setenv("REPAIR_LAB_THREADS", "1")
     assert search._resolve_workers(None, 100) == 1
     assert search._resolve_workers(8, 100) == 1
     monkeypatch.delenv("REPAIR_LAB_THREADS")
     assert search._resolve_workers(3, 100) == 3
     assert search._resolve_workers(3, 2) == 2
+
+
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
+    # a huge worker count must not fork one process per requested worker
+    sizes = []
+
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
+    monkeypatch.delenv("REPAIR_LAB_THREADS", raising=False)
+    ctx = FieldContext(2, 4)
+    serial_cost, serial_witness = min_io_exhaustive(ctx, 2, workers=1)
+    cost, witness = min_io_exhaustive(ctx, 2, workers=10**6)
+    assert sizes == [2]
+    assert cost == serial_cost == 52
+    assert witness.to_dict() == serial_witness.to_dict()
+    assert search._resolve_workers(None, 10**9) == 2
 
 
 def test_verify_bound_two_parities():
@@ -371,6 +406,11 @@ def test_verify_bound_two_parities():
     assert report["gap"] == 0
     assert report["searched"]
     assert report["subspaces"] == 35
+    # fields with derived moduli: min = bound = construction at ell = 2
+    for q, cost in ((7, 89), (11, 229), (13, 323)):
+        report = verify_bound(FieldContext(q, 2), 2)
+        assert report["searched"]
+        assert (report["min"], report["bound"], report["construction"]) == (cost,) * 3
 
 
 def test_verify_bound_gf9():

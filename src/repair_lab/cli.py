@@ -2,12 +2,13 @@
 
 Subcommands: field-info | construct | cost | repair-demo | search-min | verify |
 compare.  Human-readable tables by default, machine JSON with --json.  Exit
-codes: 0 success, 1 verification/repair failure, 2 bad parameters or usage.
+codes: 0 success, 1 verification/repair failure or closed pipe, 2 bad parameters.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .construction import (
@@ -302,7 +303,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at exit
+        return code
+    except BrokenPipeError:  # the reader has gone; keep the interpreter's exit flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return 1

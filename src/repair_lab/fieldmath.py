@@ -57,15 +57,22 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    """Miller-Rabin on the prime bases up to 41, which is exact below 3.3 * 10^24
+    (Sorenson-Webster, Math. Comp. 2017); larger n raise ValueError."""
+    if n >= 3_317_044_064_679_887_385_961_981:
+        raise ValueError(f"q={n} is too large: primality is decided only below 3.3e24")
+    if n < 2 or any(n % p == 0 for p in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    return all(
+        pow(a, d, n) == 1 or n - 1 in (pow(a, d << j, n) for j in range(s))
+        for a in _PRIME_BASES
+    )
 
 
 def _poly_rem(a: list[int], b: tuple[int, ...], q: int) -> list[int]:
@@ -438,14 +445,22 @@ def poly_eval(ctx: FieldContext, coeffs, x: int) -> int:
     return acc
 
 
-def poly_eval_all(ctx: FieldContext, coeffs, points) -> list[int]:
-    """[poly_eval(ctx, coeffs, a) for a in points], bit-sliced when q = 2.
+def poly_eval_lanes(ctx: FieldContext, coeffs, points) -> list[int]:
+    """[poly_eval(ctx, coeffs, a) for a in points], one Horner step on every
+    point at a time from the top coefficient, so a constant multiplies nothing."""
+    coeffs, add, mul = poly_trim(coeffs) or [0], ctx.add, ctx.mul
+    acc = [coeffs[-1]] * len(points)
+    for c in reversed(coeffs[:-1]):
+        acc = [add(mul(a, x), c) for a, x in zip(acc, points)]
+    return acc
 
-    See the module docstring for the layout.  Odd q evaluates point by point.
-    """
+
+def poly_eval_all(ctx: FieldContext, coeffs, points) -> list[int]:
+    """[poly_eval(ctx, coeffs, a) for a in points]: bit-sliced when q = 2 (see the
+    module docstring for the layout), poly_eval_lanes otherwise."""
     points = list(points)
     if ctx.q != 2:
-        return [poly_eval(ctx, coeffs, a) for a in points]
+        return poly_eval_lanes(ctx, coeffs, points)
     if not points:
         return []
     n, ell = len(points), ctx.ell

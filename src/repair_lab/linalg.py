@@ -35,8 +35,7 @@ def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
 def rank(rows: list[list[int]], p: int) -> int:
     if p != 2:
         return len(rref(rows, p)[0])
-    # GF(2): one byte per entry packed into an int, keeping each byte's low
-    # bit, then elimination by XOR on the lowest set bit of each pivot row
+    # GF(2): one byte per entry packed into an int, keeping each byte's low bit
     if not rows:
         return 0
     ones = int.from_bytes(b"\x01" * len(rows[0]), "little")
@@ -44,14 +43,19 @@ def rank(rows: list[list[int]], p: int) -> int:
         packed = [int.from_bytes(bytes(row), "little") & ones for row in rows]
     except ValueError:  # an entry outside 0..255
         packed = [int.from_bytes(bytes(x & 1 for x in row), "little") for row in rows]
-    r = 0
-    while packed:
-        v = packed.pop()
+    return gf2_rank(packed)
+
+
+def gf2_rank(packed) -> int:
+    """Rank over GF(2) of vectors packed into ints, one bit per coordinate: each
+    is reduced by the pivot owning its lowest set bit until it owns a new one."""
+    pivots: dict[int, int] = {}
+    for v in packed:
+        while v and (low := v & -v) in pivots:
+            v ^= pivots[low]
         if v:
-            low = v & -v
-            packed = [w ^ v if w & low else w for w in packed]
-            r += 1
-    return r
+            pivots[low] = v
+    return len(pivots)
 
 
 def inverse(a: list[list[int]], p: int) -> list[list[int]]:
@@ -81,4 +85,4 @@ def nullspace(a: list[list[int]], p: int) -> list[list[int]]:
 
 def nonzero_columns(rows: list[list[int]]) -> list[int]:
     """Indices of columns holding at least one nonzero entry."""
-    return [c for c, column in enumerate(zip(*rows)) if any(column)]
+    return [c for c, nz in enumerate(map(any, zip(*rows))) if nz]

@@ -7,7 +7,9 @@ every node whose rows are the dual-basis coordinate vectors of the dual codeword
 values there.  Repairing reads, at helper i, exactly the subsymbols under the
 nonzero columns of that matrix:
 
-- bandwidth (subsymbols transmitted) sums the matrix ranks over the helpers;
+- bandwidth (subsymbols transmitted) sums the matrix ranks over the helpers, which
+  are dim_B span{g_j(alpha_i)} as dual_coords is a B-linear bijection (the trace form
+  is nondegenerate); so is the integer encoding at q = 2, whose bits give the ranks;
 - I/O cost (subsymbols read) sums the nonzero-column counts over the helpers.
 
 The I/O cost is also computed by a second, independent route: the total Hamming
@@ -24,6 +26,7 @@ at zero for full-length codes).
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain, compress
 
 from . import linalg
 from .fieldmath import (
@@ -32,6 +35,7 @@ from .fieldmath import (
     coset_weight,
     poly_deg,
     poly_eval,
+    poly_eval_lanes,
     poly_shift,
     poly_trim,
 )
@@ -59,7 +63,7 @@ class RepairScheme:
     def evals(self) -> list[tuple[int, ...]]:
         """Every dual codeword's values at every node, computed on first use."""
         points = self.code.eval_points
-        return [tuple(poly_eval(self.ctx, g, a) for a in points) for g in self.duals]
+        return [tuple(poly_eval_lanes(self.ctx, g, points)) for g in self.duals]
 
     def _check_node(self, i: int) -> None:
         if not _is_int(i) or not 1 <= i <= self.code.n:
@@ -95,18 +99,12 @@ class RepairScheme:
 
     @cached_property
     def _table(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        # The coordinate expansion, done once: the stacked ell x n*ell matrix
-        # (node i's I/O matrix in columns (i-1)*ell .. i*ell - 1) and every
-        # node's nonzero columns, 0-based within the node.
+        # Done once: the stacked ell x n*ell coordinate matrix (node i's I/O matrix
+        # in columns (i-1)*ell .. i*ell - 1) and each node's nonzero columns, 0-based.
         ell, dual_coords = self.ctx.ell, self.ctx.dual_coords
-        stacked = [[] for _ in range(ell)]
-        columns = []
-        for values in zip(*self.evals):
-            w = [dual_coords(a) for a in values]
-            columns.append(tuple(linalg.nonzero_columns(w)))
-            for row, coords in zip(stacked, w):
-                row.extend(coords)
-        return [tuple(row) for row in stacked], columns
+        stacked = [tuple(chain.from_iterable(map(dual_coords, ev))) for ev in self.evals]
+        nonzero = map(any, zip(*stacked))  # one flag per column, cut ell at a time
+        return stacked, [tuple(compress(range(ell), node)) for node in zip(*[nonzero] * ell)]
 
     def io_matrix(self, i: int) -> list[list[int]]:
         """ell x ell matrix over B at node i: row j holds the dual-basis
@@ -129,8 +127,10 @@ class RepairScheme:
 
     @cached_property
     def _ranks(self) -> list[int]:
-        # every helper's I/O matrix rank, in helpers() order
+        # every helper's I/O matrix rank, in helpers() order (q = 2: module docstring)
         ell, q = self.ctx.ell, self.ctx.q
+        if q == 2:
+            return [linalg.gf2_rank(v) for i, v in enumerate(zip(*self.evals), 1) if i != self.star]
         stacked, _ = self._table
         return [
             linalg.rank([row[(i - 1) * ell : i * ell] for row in stacked], q)
@@ -162,7 +162,7 @@ class RepairScheme:
         be exact — a remainder means the implementation is inconsistent."""
         self.require_valid()
         q, ell = self.ctx.q, self.ctx.ell
-        _, total = coset_weight(self.stacked_io_matrix(), None, q)
+        _, total = coset_weight(self._table[0], None, q)
         denom = q ** (ell - 1) * (q - 1)
         if total % denom:
             raise ArithmeticError(
@@ -239,9 +239,9 @@ class RepairScheme:
         """Everything one repair costs: per-helper matrix summaries plus the
         totals by both routes.  `per_node` rows are dicts {"i", "rank", "nz",
         "cols"} with 1-based node and column indices, helpers only."""
-        per_node = []
+        per_node, columns = [], self._table[1]
         for i, rank in zip(self.helpers(), self._ranks):
-            cols = self.accessed_subsymbols(i)
+            cols = [c + 1 for c in columns[i - 1]]
             per_node.append({"i": i, "rank": rank, "nz": len(cols), "cols": cols})
         return {
             "q": self.ctx.q,

@@ -203,8 +203,10 @@ def is_codeword(code: RSCode, symbols) -> bool:
 
 
 def io_matrix_oracle(scheme: RepairScheme, i: int) -> list[list[int]]:
-    """Node i's I/O matrix expanded straight from the dual codeword values."""
-    return [list(scheme.ctx.dual_coords(ev[i - 1])) for ev in scheme.evals]
+    """Node i's I/O matrix expanded straight from the dual codewords, each
+    evaluated point by point (not read from scheme.evals)."""
+    ctx, alpha = scheme.ctx, scheme.code.eval_points[i - 1]
+    return [list(ctx.dual_coords(poly_eval(ctx, g, alpha))) for g in scheme.duals]
 
 
 def _free_cells(pivots: tuple[int, ...], m: int) -> list[tuple[int, int]]:

@@ -1,5 +1,6 @@
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -426,3 +427,56 @@ def test_usage_error_exit_code():
         timeout=60,
     )
     assert proc.returncode == 2
+
+
+_N1024 = ["construct", "--q", "2", "--ell", "10", "--k", "1020", "--s", "1"]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [["--json", *_N1024], _N1024, ["field-info", "--q", "2", "--ell", "3"]],
+    ids=["json", "human", "small-output"],
+)
+def test_closed_output_pipe_exits_without_a_traceback(argv, unbuffered):
+    # the reader takes one line (the JSON output is far larger than a pipe
+    # buffer) or none, and closes the pipe while the command still has output
+    # to write; a buffered small output fails only when it is flushed
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repair_lab", *argv],
+        stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    if argv[0] == "--json":
+        assert proc.stdout.readline().strip() == b"{"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1, stderr
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert stderr == ""
+
+
+@pytest.mark.parametrize(
+    "extra, code, message",
+    [
+        ([], 2, "no built-in modulus"),
+        (["--modulus", "0,1"], 0, None),
+        (["--q", "2305843009213693953"], 2, "q must be prime"),
+        (["--q", str(2**127 - 1), "--modulus", "0,1"], 2, "too large"),
+    ],
+    ids=["prime-no-modulus", "prime-with-modulus", "composite", "beyond-the-exact-range"],
+)
+def test_field_info_answers_for_a_huge_q(extra, code, message):
+    # 2^61 - 1 is prime and 2^61 + 1 is not; neither is decided by trial division
+    argv = ["--json", "field-info", "--q", "2305843009213693951", "--ell", "1", *extra]
+    proc = subprocess.run(
+        [sys.executable, "-m", "repair_lab", *argv], capture_output=True, text=True, timeout=20
+    )
+    assert proc.returncode == code, proc.stderr
+    if message is None:
+        assert json.loads(proc.stdout)["order"] == 2**61 - 1
+    else:
+        assert proc.stderr.startswith("error: ") and message in proc.stderr
+        assert proc.stderr.count("\n") == 1

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from repair_lab.fieldmath import (
     FieldContext,
     _default_modulus,
+    _is_prime,
     coset_weight,
     poly_deg,
     poly_eval,
     poly_eval_all,
+    poly_eval_lanes,
     poly_shift,
     poly_trim,
 )
@@ -56,6 +58,36 @@ def test_nonprime_q_rejected():
         FieldContext(4, 2)
     with pytest.raises(ValueError):
         FieldContext(6, 2)
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_primality_matches_trial_division_below_1e5():
+    assert [n for n in range(-3, 10**5) if _is_prime(n)] == [
+        n for n in range(-3, 10**5) if _is_prime_by_trial_division(n)
+    ]
+
+
+def test_primality_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to every prime base up to 7 and up to 31 respectively
+    assert 151 * 751 * 28351 == 3_215_031_751
+    assert 149491 * 747451 * 34233211 == 3_825_123_056_546_413_051
+    assert not _is_prime(3_215_031_751)
+    assert not _is_prime(3_825_123_056_546_413_051)
+    assert _is_prime(2**61 - 1)
+    assert not _is_prime(2**61 + 1) and not _is_prime((2**13 - 1) * (2**61 - 1))
+
+
+def test_primality_refuses_numbers_beyond_its_exact_range():
+    # the largest prime below the limit, and the odd numbers between it and the limit
+    assert _is_prime(3_317_044_064_679_887_385_961_813)
+    assert not any(_is_prime(3_317_044_064_679_887_385_961_815 + 2 * j) for j in range(83))
+    with pytest.raises(ValueError, match="too large"):
+        _is_prime(3_317_044_064_679_887_385_961_981)
+    with pytest.raises(ValueError, match="too large"):
+        FieldContext(2**127 - 1, 1, [0, 1])
 
 
 def test_bad_ell_rejected():
@@ -438,11 +470,38 @@ def test_poly_eval_all_matches_pointwise(data):
     ids=["empty", "zero", "k1", "trailing-zeros", "monomial"],
 )
 @pytest.mark.parametrize(
-    "ctx", [GF8, FieldContext(2, 3, [1, 0, 1, 1]), GF9], ids=["gf8", "gf8-custom", "gf9"]
+    "ctx",
+    [GF8, FieldContext(2, 3, [1, 0, 1, 1]), GF9, FieldContext(5, 2), FieldContext(2, 10)],
+    ids=["gf8", "gf8-custom", "gf9", "gf25", "gf1024"],
 )
 def test_poly_eval_all_edge_messages(ctx, coeffs):
     for points in (range(ctx.order), [7, 0, 3, 5], []):
-        assert poly_eval_all(ctx, coeffs, points) == [poly_eval(ctx, coeffs, a) for a in points]
+        expected = [poly_eval(ctx, coeffs, a) for a in points]
+        assert poly_eval_all(ctx, coeffs, points) == expected
+        assert poly_eval_lanes(ctx, coeffs, points) == expected
+
+
+# the point-list route (lane-wise Horner) on q in {2, 3, 5}, custom moduli and the
+# table-free GF(2^17), whose short point lists keep the slow multiplication cheap
+_LANE_FIELDS = [
+    GF8, FieldContext(2, 4, [1, 0, 0, 1, 1]), FieldContext(2, 10), GF9,
+    FieldContext(3, 2, [2, 2, 1]), FieldContext(3, 3), FieldContext(5, 2), GF2_17,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_poly_eval_lanes_matches_pointwise(data):
+    ctx = data.draw(st.sampled_from(_LANE_FIELDS), label="field")
+    cap = 12 if ctx is GF2_17 else min(ctx.order, 200)
+    element = st.integers(0, ctx.order - 1)
+    # repeated points, the zero polynomial, constants and trailing zeros included
+    points = data.draw(st.lists(element, max_size=cap), label="points")
+    r = data.draw(st.integers(0, 6), label="r")
+    coeffs = data.draw(st.lists(element, max_size=r + 1), label="coeffs")
+    expected = [poly_eval(ctx, coeffs, a) for a in points]
+    assert poly_eval_lanes(ctx, coeffs, points) == expected
+    assert poly_eval_lanes(ctx, coeffs, tuple(points)) == expected
 
 
 def test_poly_ring_operations():

@@ -130,6 +130,17 @@ def test_io_table_matches_the_direct_expansion():
         *_random_valid_schemes(GF9, 2, 5, seed=29),
         *_random_valid_schemes(GF9, 3, 5, seed=30),
         build_low_io_scheme(FieldContext(2, 4), 11, 2).translate(6),
+        # q = 2 where an element's bits are not its subsymbols (a non-polynomial
+        # basis, a custom modulus), q = 5, and full length at n = 1024
+        *_random_valid_schemes(FieldContext(2, 4, basis=[3, 2, 4, 8]), 3, 3, seed=31),
+        *_random_valid_schemes(FieldContext(2, 4, [1, 0, 0, 1, 1]), 3, 3, seed=32),
+        *_random_valid_schemes(FieldContext(2, 4, [1, 0, 0, 1, 1], [7, 2, 4, 9]), 2, 3, seed=33),
+        *_random_valid_schemes(FieldContext(5, 2), 2, 3, seed=34),
+        *_random_valid_schemes(FieldContext(5, 2), 3, 3, seed=35),
+        *(
+            build_low_io_scheme(FieldContext(2, 10, basis=basis), 1020, 1).translate(517)
+            for basis in (None, [3, 2, 4, 8, 16, 32, 64, 128, 256, 512])
+        ),
     ]
     for scheme in schemes:
         q, n = scheme.ctx.q, scheme.code.n
@@ -146,6 +157,8 @@ def test_io_table_matches_the_direct_expansion():
             {"i": i, "rank": rank, "nz": len(c), "cols": c}
             for i, rank, c in zip(helpers, ranks, cols)
         ]
+        if n == 1024:
+            assert scheme.io_cost_formula() == report["bandwidth"] == report["io_cost"] == 9206
 
 
 def test_helper_ranks_are_computed_once(monkeypatch):
@@ -153,21 +166,33 @@ def test_helper_ranks_are_computed_once(monkeypatch):
 
     scheme = build_low_io_scheme(FieldContext(2, 4), 11, 2).translate(6)
     n, ell = scheme.code.n, scheme.ctx.ell
-    shapes = []
-    rank = linalg.rank
+    shapes, sizes = [], []
+    rank, gf2_rank = linalg.rank, linalg.gf2_rank
 
     def counting_rank(rows, p):
         shapes.append((len(rows), len(rows[0])))
         return rank(rows, p)
 
+    def counting_gf2_rank(packed):
+        packed = list(packed)
+        sizes.append(len(packed))
+        return gf2_rank(packed)
+
+    # every GF(2) elimination, rank()'s included, goes through gf2_rank
     monkeypatch.setattr(linalg, "rank", counting_rank)
+    monkeypatch.setattr(linalg, "gf2_rank", counting_gf2_rank)
     assert scheme.bandwidth() == 36
-    assert shapes == [(ell, ell)] * (n - 1)
-    del shapes[:]
+    # one elimination per helper, on its ell dual codeword values
+    assert sizes == [ell] * (n - 1)
+    assert shapes == []
+    del sizes[:]
+    assert scheme.bandwidth() == 36
+    assert sizes == []
     report = scheme.cost_report()
     assert report["bandwidth"] == report["io_cost"] == 36
     # only validate() at the failed node and the formula route's stacked matrix
     assert sorted(shapes) == [(ell, ell), (ell, n * ell)]
+    assert sizes == [ell, ell]
 
 
 def test_dual_values_are_evaluated_on_first_use():

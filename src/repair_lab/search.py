@@ -17,15 +17,19 @@ A_1(b_t) is the field's 1, so slice t0 (t0 = 0..ell-1) fixes A_1(b_t) = 0 for
 t < t0 and A_1(b_t0) = 1; one more slice holds A_1 = 0 whole (its orbits stay
 in it).  The scan visits q^(ell^2 (r-2)) * ((q^(ell^2) - 1)/(q^ell - 1) + 1)
 schemes, one packed modular q-ary Gray walk over each slice's free cells, one
-row addition per scheme.  The slices' Gray-counter ranges, laid end to end,
-are cut into equal contiguous loads for the worker processes (the CPU count
-and REPAIR_LAB_THREADS cap them); each keeps its least cost and every
-(slice, counter) reaching it.  The witness, whatever the worker count, is the
-lexicographically smallest reduced-echelon basis (over the basis[t] * x^d)
-among the tied orbits' members.  A scaling is B-linear in the e_{d,u}
-coordinates, so each c gives one table per search, the packed multiples of
-c^d e_{d,u}: an image row is a sum of entries, reduced by packed elimination
-(column 0 most significant, so integer order is tuple order).
+row addition per scheme.  The walk is an exact branch and bound: a scheme's
+cost is the nonzero-field count of its rows' OR, less ell, and an OR only gains
+weight, so the slow rows alone bound every scheme in a block of fast-row
+counters; a block whose bound exceeds the best cost so far (strictly, so every
+tie is still scored) is skipped but counted as visited.  The slices'
+Gray-counter ranges, laid end to end, are cut into equal contiguous loads for
+the worker processes (the CPU count and REPAIR_LAB_THREADS cap them); each
+keeps its least cost and every (slice, counter) reaching it.  The witness,
+whatever the worker count, is the lexicographically smallest reduced-echelon
+basis (over the basis[t] * x^d) among the tied orbits' members.  A scaling is
+B-linear in the e_{d,u} coordinates, so each c gives one table per search, the
+packed multiples of c^d e_{d,u}: an image row is a sum of entries, reduced by
+packed elimination (column 0 most significant, so integer order is tuple order).
 
 A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
 at interactive scale.
@@ -227,8 +231,9 @@ def _split(items, workers: int) -> list[list[tuple[int, int, int]]]:
 
 
 def _scan(ctx: FieldContext, r: int, star: int, items):
-    """(count, cost, ties) over (slice, start, stop) Gray-counter ranges: the
-    least cost among the visited schemes and every (slice, counter) reaching it.
+    """(count, scored, cost, ties) over (slice, start, stop) Gray-counter
+    ranges: the schemes visited and costed, the least cost among them and every
+    (slice, counter) reaching it.
 
     Counter t visits the free-cell digits g_j = (a_j - a_{j+1}) mod q of its
     base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
@@ -237,6 +242,16 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     coordinates) are packed by _Packing.  The cost counts the nonzero fields of
     the rows' OR, less the ell columns of the failed node; the OR of the slow
     rows is rebuilt only when one of them moves.
+
+    The scan is an exact branch and bound.  The fast row's m cells are digits
+    0..m-1, so within an aligned block of q^m counters the slow digits g_j,
+    j >= m, are constant, and an OR only gains nonzero fields: the slow rows'
+    cost bounds every scheme left in the block.  When it exceeds the best cost
+    so far, strictly, the walk jumps to the block's end (or the range's stop);
+    no skipped scheme could tie, so the ties are the unpruned walk's.  The jump
+    is one carry at digit m, a Gray step on one slow row, and the fast row is
+    reset to its value at a_0..a_{m-1} = 0, where only g_{m-1} = -a_m is nonzero.
+    Skipped schemes still count as visited.
     """
     q, ell = ctx.q, ctx.ell
     data = _shifted_rows(ctx, r, star)
@@ -244,19 +259,40 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     P = [pk.pack(row) for row in data]
     high, over, shift, nonzero = pk.high, pk.over, pk.b - 1, pk.high - pk.ones
 
+    def pack(coords) -> int:
+        return reduce(pk.add, [P[c] for c, g in enumerate(coords) for _ in range(g)], 0)
+
     fast = ell - 1
-    count, best, ties = 0, ctx.order * ell, []  # every cost is below n*ell
+    count, skipped, best, ties = 0, 0, ctx.order * ell, []  # every cost is below n*ell
     for s, start, stop in items:
         cells = _cells(s, ell, r)
+        m = sum(row == fast for row, _ in cells)  # no pruning without fast cells
+        block = q**m
         a = [start // q**j % q for j in range(len(cells))] + [0]
-        rows = [
-            reduce(pk.add, [P[c] for c, g in enumerate(coords) for _ in range(g)], 0)
-            for coords in _graph_rows(ctx, r, s, start)
-        ]
+        rows = [pack(coords) for coords in _graph_rows(ctx, r, s, start)]
+        if m:  # the fast row at a block boundary, indexed by a_m
+            base = pack(_graph_rows(ctx, r, s, 0)[fast])
+            resets = [pk.add(base, v) for v in pk.multiples(P[cells[m - 1][1]])]
         t, i = start, None
         while True:
             if i != fast:  # a slow row moved (or this range just began)
                 rest = reduce(or_, rows[:fast], 0)
+                if m and ((rest + nonzero) & high).bit_count() - ell > best:
+                    end = min(t - t % block + block, stop)
+                    skipped += end - t
+                    t = end
+                    if t == stop:
+                        break
+                    a[:m] = [0] * m
+                    j = m
+                    while a[j] == q - 1:
+                        a[j] = 0
+                        j += 1
+                    a[j] += 1
+                    i, c = cells[j]
+                    rows[i] = pk.add(rows[i], P[c])
+                    rows[fast] = resets[-a[m] % q]
+                    continue
             cost = (((rest | rows[fast]) + nonzero) & high).bit_count() - ell
             if cost <= best:
                 if cost < best:
@@ -277,7 +313,7 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
                 v = rows[i] + P[c]
                 rows[i] = v - (((v + over) & high) >> shift) * q
         count += t - start
-    return count, best, ties
+    return count, count - skipped, best, ties
 
 
 def _check_workers(workers: int | None) -> None:
@@ -290,7 +326,11 @@ def _resolve_workers(workers: int | None, nitems: int) -> int:
     workers = cpus if workers is None else min(workers, cpus)
     env = os.environ.get("REPAIR_LAB_THREADS")
     if env:
-        workers = min(workers, max(1, int(env)))
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"REPAIR_LAB_THREADS must be an integer, got {env!r}") from None
+        workers = min(workers, max(1, cap))
     return max(1, min(workers, nitems))
 
 
@@ -327,11 +367,11 @@ def min_io_exhaustive(
             results = list(pool.map(_scan, repeat(ctx), repeat(r), repeat(star), loads))
     else:
         results = [_scan(ctx, r, star, items)]
-    total = sum(count for count, _, _ in results)
+    total = sum(count for count, _, _, _ in results)
     if total != expected:
         raise VerificationError(f"visited {total} schemes, expected {expected}")
-    cost = min(best for _, best, _ in results)
-    ties = [tie for _, best, found in results if best == cost for tie in found]
+    cost = min(best for _, _, best, _ in results)
+    ties = [tie for _, _, best, found in results if best == cost for tie in found]
     pk = _Packing(q, r * ell)
     key = min(_orbit_keys(ctx, r, star, ties, pk))
     scheme = _rows_to_scheme(ctx, [pk.unpack(v) for v in key], r, star)

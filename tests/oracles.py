@@ -16,7 +16,7 @@ from repair_lab.fieldmath import (
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _graph_rows, _rows_to_scheme
+from repair_lab.search import _Packing, _cells, _graph_rows, _rows_to_scheme, _shifted_rows
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -343,6 +343,61 @@ def pattern_scan(ctx: FieldContext, r: int, star: int):
             rows[i], vals[i] = add(rows[i], P[c]), add(vals[i], V[c])
         count += stop
     return count, best
+
+
+def plain_scan(ctx: FieldContext, r: int, star: int, items):
+    """(count, cost, ties) over (slice, start, stop) Gray-counter ranges: the
+    least cost among the visited schemes and every (slice, counter) reaching it.
+    The orbit scan as it was before it pruned: every visited scheme is costed.
+
+    Counter t visits the free-cell digits g_j = (a_j - a_{j+1}) mod q of its
+    base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
+    t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
+    dual-space row is added to one scheme row.  Rows (n*ell subsymbol
+    coordinates) are packed by _Packing.  The cost counts the nonzero fields of
+    the rows' OR, less the ell columns of the failed node; the OR of the slow
+    rows is rebuilt only when one of them moves.
+    """
+    q, ell = ctx.q, ctx.ell
+    data = _shifted_rows(ctx, r, star)
+    pk = _Packing(q, len(data[0]))
+    P = [pk.pack(row) for row in data]
+    high, over, shift, nonzero = pk.high, pk.over, pk.b - 1, pk.high - pk.ones
+
+    fast = ell - 1
+    count, best, ties = 0, ctx.order * ell, []  # every cost is below n*ell
+    for s, start, stop in items:
+        cells = _cells(s, ell, r)
+        a = [start // q**j % q for j in range(len(cells))] + [0]
+        rows = [
+            reduce(pk.add, [P[c] for c, g in enumerate(coords) for _ in range(g)], 0)
+            for coords in _graph_rows(ctx, r, s, start)
+        ]
+        t, i = start, None
+        while True:
+            if i != fast:  # a slow row moved (or this range just began)
+                rest = reduce(or_, rows[:fast], 0)
+            cost = (((rest | rows[fast]) + nonzero) & high).bit_count() - ell
+            if cost <= best:
+                if cost < best:
+                    best, ties = cost, []
+                ties.append((s, t))
+            t += 1
+            if t == stop:
+                break
+            j = 0
+            while a[j] == q - 1:
+                a[j] = 0
+                j += 1
+            a[j] += 1
+            i, c = cells[j]
+            if q == 2:  # pk.add inlined: this is the hot loop
+                rows[i] ^= P[c]
+            else:
+                v = rows[i] + P[c]
+                rows[i] = v - (((v + over) & high) >> shift) * q
+        count += t - start
+    return count, best, ties
 
 
 def orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):

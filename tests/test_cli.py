@@ -284,6 +284,11 @@ def test_repair_demo_bad_node_exit_2(capsys):
 
 def test_search_min_json(capsys):
     payload = _run_json(capsys, "search-min", "--q", "2", "--ell", "2", "--r", "2")
+    # no `scored`: it depends on how the scan is split across workers
+    assert sorted(payload) == [
+        "cost_report", "ell", "min_io_cost", "node", "q", "r", "subspaces", "visited",
+        "witness",
+    ]
     assert payload["subspaces"] == 35
     assert payload["visited"] == 6
     assert payload["min_io_cost"] == 4
@@ -307,6 +312,15 @@ def test_nonpositive_workers_exit_2(capsys, command, workers):
     assert code == 2
     assert out == ""
     assert err == f"error: workers must be >= 1, got {workers}\n"
+
+
+@pytest.mark.parametrize("value", ["abc", "2.5", " "])
+def test_bad_worker_env_exits_2_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("REPAIR_LAB_THREADS", value)
+    code, out, err = _run(capsys, "search-min", "--q", "2", "--ell", "2", "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: REPAIR_LAB_THREADS must be an integer, got {value!r}\n"
 
 
 def test_verify_human(capsys):

@@ -16,7 +16,9 @@ from repair_lab.search import (
     visit_count,
 )
 
-from oracles import iter_echelon_bases, iter_valid_schemes, orbit_keys, pattern_scan
+from oracles import (
+    iter_echelon_bases, iter_valid_schemes, orbit_keys, pattern_scan, plain_scan,
+)
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -170,7 +172,7 @@ def test_scanner_matches_oracle(data):
     assert count == gaussian_binomial(r * ell, ell, q)
     # the valid schemes are exactly the graphs A: C -> K
     assert valid == q ** ((r - 1) * ell * ell)
-    visited, least, _ = search._scan(ctx, r, star, search._slices(ell, r, q))
+    visited, _, least, _ = search._scan(ctx, r, star, search._slices(ell, r, q))
     assert (visited, least) == (visit_count(q, ell, r), cost)
     found, scheme = min_io_exhaustive(ctx, r, star=star, workers=1)
     assert found == cost
@@ -214,7 +216,7 @@ def test_tie_heavy_minimum_matches_the_subspace_oracle(monkeypatch, q, ell, r, t
         count, (cost, key) = pattern_scan(ctx, r, star)
         assert count == gaussian_binomial(r * ell, ell, q)
         witness = _key_to_scheme(ctx, r, star, key).to_dict()
-        _, least, found = search._scan(ctx, r, star, search._slices(ell, r, q))
+        _, _, least, found = search._scan(ctx, r, star, search._slices(ell, r, q))
         assert (least, len(found)) == (cost, ties)
         for workers in (1, 2):
             found, scheme = min_io_exhaustive(ctx, r, star=star, workers=workers)
@@ -300,9 +302,9 @@ def test_scaling_about_the_failed_node_keeps_every_cost(data):
 
 def _merge(results):
     """Results of disjoint ranges merged as min_io_exhaustive merges them."""
-    cost = min(best for _, best, _ in results)
-    ties = sorted(t for _, best, found in results if best == cost for t in found)
-    return sum(count for count, _, _ in results), cost, ties
+    cost = min(best for _, _, best, _ in results)
+    ties = sorted(t for _, _, best, found in results if best == cost for t in found)
+    return sum(count for count, *_ in results), cost, ties
 
 
 @settings(max_examples=40, deadline=None)
@@ -322,6 +324,85 @@ def test_scan_cut_into_two_gray_ranges_matches_whole(data):
     ]
     assert whole[0] == size
     assert _merge(halves) == _merge([whole])
+
+
+# ---- the pruned scan against the unpruned walk -----------------------------------
+
+
+def _plain(ctx, r, star, items):
+    """plain_scan's result in _scan's shape: the unpruned walk scores every visit."""
+    count, best, ties = plain_scan(ctx, r, star, items)
+    return count, count, best, ties
+
+
+# (q, ell, r): fast rows with and without free cells, one to three slow rows
+_PRUNE_CASES = [
+    (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2),
+    (5, 2, 2), (5, 2, 3), (5, 1, 4),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_pruned_scan_matches_the_unpruned_walk(data):
+    q, ell, r = data.draw(st.sampled_from(_PRUNE_CASES))
+    ctx = FieldContext(q, ell)
+    star = data.draw(st.integers(1, ctx.order))
+    slices = search._slices(ell, r, q)
+    if data.draw(st.booleans()):
+        loads = search._split(slices, data.draw(st.integers(2, 4)))
+    else:  # ranges that mostly start and stop inside a block of fast-row counters
+        spans = st.sampled_from(slices).flatmap(lambda item: st.lists(
+            st.integers(0, item[2]), min_size=2, max_size=2, unique=True
+        ).map(lambda ends: (item[0], *sorted(ends))))
+        loads = [data.draw(st.lists(spans, min_size=1, max_size=3))]
+    for load in loads:
+        pruned, plain = search._scan(ctx, r, star, load), _plain(ctx, r, star, load)
+        assert pruned[0] == sum(stop - start for _, start, stop in load)
+        assert 0 < pruned[1] <= pruned[0]
+        assert _merge([pruned]) == _merge([plain])
+
+
+@pytest.mark.parametrize("q,ell,r,ties", [(2, 3, 3, 75), (2, 5, 2, 305)])
+def test_pruning_keeps_every_tie(q, ell, r, ties):
+    # a prune at >= would skip the tied schemes whose fast row adds no weight
+    # to the slow rows: 214 of the 305 at q=2 ell=5 r=2
+    ctx = FieldContext(q, ell)
+    items = search._slices(ell, r, q)
+    pruned = search._scan(ctx, r, 1, items)
+    assert (pruned[0], len(pruned[3])) == (visit_count(q, ell, r), ties)
+    assert _merge([pruned]) == _merge([_plain(ctx, r, 1, items)])
+
+
+def test_pruned_scan_matches_on_split_loads():
+    # 5 loads of 7 578 visits, each cut inside a block of 64 fast-row counters;
+    # the prune fires in the block holding the first and the third cut
+    items = search._slices(3, 3, 2)
+    loads = search._split(items, 5)
+    assert [(s, stop % 64) for s, _, stop in (load[-1] for load in loads[:-1])] == [
+        (0, 26), (0, 52), (0, 14), (0, 40),
+    ]
+    for star in (1, 5):
+        for load in loads:
+            pruned = search._scan(GF8, 3, star, load)
+            assert pruned[0] == sum(stop - start for _, start, stop in load)
+            assert _merge([pruned]) == _merge([_plain(GF8, 3, star, load)])
+
+
+def test_pruning_fires_and_the_count_check_reads_visits(monkeypatch):
+    visited, scored, cost, ties = search._scan(GF8, 3, 1, search._slices(3, 3, 2))
+    assert (visited, scored, cost, len(ties)) == (37_888, 13_808, 13, 75)
+    # the check passes on visits, though only 13 808 schemes were scored
+    assert min_io_exhaustive(GF8, 3, workers=1)[0] == 13
+    scan = search._scan
+
+    def one_visit_short(*args):
+        count, scored, best, found = scan(*args)
+        return count - 1, scored, best, found
+
+    monkeypatch.setattr(search, "_scan", one_visit_short)
+    with pytest.raises(VerificationError, match="visited 37887 schemes, expected 37888"):
+        min_io_exhaustive(GF8, 3, workers=1)
 
 
 @pytest.mark.parametrize("q,ell,r", [(2, 3, 3), (3, 3, 2), (5, 2, 3), (2, 2, 2), (3, 1, 2)])

@@ -7,6 +7,7 @@ codes: 0 success, 1 verification/repair failure or closed pipe, 2 bad parameters
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -299,9 +300,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # built once per process, by the first main()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at exit

@@ -10,7 +10,8 @@ ell with the smallest encoding, for fields up to 5^12), and a working basis of F
 over B (default: the polynomial basis 1, x, ..., x^{ell-1}).  When the field is
 small enough the context precomputes discrete log/antilog and trace tables, and on
 first use an element -> coordinate table for each expansion below; larger fields
-fall back to direct polynomial arithmetic.  All arithmetic is exact — no floating point.
+fall back to direct polynomial arithmetic, with the trace read off its values at
+the monomials.  All arithmetic is exact — no floating point.
 
 Every table is filled by linearity over B.  The trace, multiplication by the
 generator g and both coordinate expansions are B-linear maps f, so f is fixed by
@@ -159,8 +160,12 @@ class FieldContext:
         # element -> dual_coords / basis_coords, filled on first use
         self._dual_table: list[tuple[int, ...]] | None = None
         self._basis_table: list[tuple[int, ...]] | None = None
+        self._lanes: dict[bool, list] = {}  # coord_lanes, filled on first use
+        self._monomial_traces: list[int] | None = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
+        else:
+            self._monomial_traces = [self.trace(q**j) for j in range(ell)]
 
         if basis is None:
             basis = tuple(q**i for i in range(ell))
@@ -343,6 +348,8 @@ class FieldContext:
         """Field trace of F down to B, returned as an integer in [0, q)."""
         if self._trace_table is not None:
             return self._trace_table[a]
+        if self._monomial_traces is not None:
+            return sum(d * t for d, t in zip(self.digits(a), self._monomial_traces)) % self.q
         t, b = a, a
         for _ in range(self.ell - 1):
             b = self.frobenius(b)
@@ -385,6 +392,25 @@ class FieldContext:
                 return tuple(self.trace(self.mul(a, b)) for b in self.basis)
             table = self._dual_table = self._coord_table(self.basis)
         return table[a]
+
+    def coord_lanes(self, dual: bool = False) -> list:
+        """Per v in B (index 0 unused), a map from element a to its lane, 8*ceil(ell/8)
+        bits as little-endian bytes with bit t set iff coordinate t of basis_coords(a)
+        (dual_coords(a) if `dual`) is v; tabulated once where the coordinate tables exist."""
+        if dual not in self._lanes:
+            coords, width = (self.dual_coords if dual else self.basis_coords), (self.ell + 7) // 8
+
+            def lanes_of(a):  # the lanes for v = 1 .. q-1, in one pass over the coordinates
+                bits = [0] * self.q
+                for t, x in enumerate(coords(a)):
+                    bits[x] |= 1 << t
+                return [b.to_bytes(width, "little") for b in bits[1:]]
+
+            if self._exp is None:
+                return [None] + [lambda a, v=v: lanes_of(a)[v - 1] for v in range(1, self.q)]
+            tables = zip(*map(lanes_of, range(self.order)))
+            self._lanes[dual] = [None] + [table.__getitem__ for table in tables]
+        return self._lanes[dual]
 
     def from_basis_coords(self, coords) -> int:
         a = 0

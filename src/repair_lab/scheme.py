@@ -19,14 +19,23 @@ module; nothing may shortcut one through the other.  Both start from the same
 coordinate expansion, computed once per scheme on first use: the direct route
 reads its per-node nonzero columns, the formula route only the stacked matrix.
 
+Repair runs on packed lanes: node i owns bits (i-1)w .. iw-1 of a big int, w =
+8*ceil(ell/8), and bit t of a lane is coordinate t.  Per scheme, plane R_{j,g}
+marks where row j of the I/O matrices equals g (the failed node's lane is zero)
+and the read mask M is their union; per call, S_v marks where the helpers' stored
+subsymbols equal v, masked by M, so the value depends only on the reads reported.
+The trace repair's sum of row_j * stored over the read positions is then
+sum_{g,v} g*v*popcount(R_{j,g} & S_v) mod q: one popcount per row at q = 2.
+
 Node indices, subsymbol indices, and dual-codeword indices are 1-based in every
 public interface, matching the storage convention (node 1 holds the evaluation
 at zero for full-length codes).
 """
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain, compress
+from operator import or_
 
 from . import linalg
 from .fieldmath import (
@@ -183,39 +192,55 @@ class RepairScheme:
             for j in range(ctx.ell)
         ]
 
+    @cached_property
+    def _lanes(self) -> tuple[list[tuple[int, int, int]], int, tuple, tuple]:
+        # the packed repair's per-scheme data (module docstring): each plane
+        # R_{j,g} as (j, g, R), the read mask M, the helpers read, their columns
+        lanes, star, columns = self.ctx.coord_lanes(dual=True), self.star, self._table[1]
+        zeroed = [ev[: star - 1] + (0,) + ev[star:] for ev in self.evals]  # failed lane: 0
+        planes = [
+            (j, g, int.from_bytes(b"".join(map(lanes[g], ev)), "little"))
+            for j, ev in enumerate(zeroed) for g in range(1, self.ctx.q)
+        ]
+        read = tuple(i for i in self.helpers() if columns[i - 1])
+        cols = tuple(tuple(c + 1 for c in columns[i - 1]) for i in read)
+        return planes, reduce(or_, [plane for *_, plane in planes], 0), read, cols
+
     def repair_transcript(self, symbols) -> tuple[int, dict[int, list[int]]]:
         """Repair the erased symbol, returning (value, subsymbols read per helper).
 
-        `symbols` is the codeword with None at the failed position.  Each helper's
-        stored subsymbols are its symbol's working-basis coordinates; only those
-        under nonzero I/O matrix columns are touched, and the transcript records
-        exactly which (1-based, per helper node index)."""
+        `symbols` is the codeword with None at the failed position and a field
+        element at every helper.  Each helper's stored subsymbols are its symbol's
+        working-basis coordinates; only those under nonzero I/O matrix columns are
+        touched, and the transcript records exactly which (1-based, per helper
+        node index)."""
         self.require_valid()
-        ctx, n, q, ell = self.ctx, self.code.n, self.ctx.q, self.ctx.ell
+        ctx, n, q, star = self.ctx, self.code.n, self.ctx.q, self.star
         symbols = list(symbols)
         if len(symbols) != n:
             raise ValueError(f"expected {n} symbols, got {len(symbols)}")
-        if symbols[self.star - 1] is not None:
-            raise ValueError(f"node {self.star} must be erased (None)")
-        stacked, columns = self._table
-        reads: dict[int, list[int]] = {}
-        totals = [0] * ell
-        for i in self.helpers():
-            if symbols[i - 1] is None:
-                raise ValueError(f"helper {i} is erased; only node {self.star} may be")
-            cols = columns[i - 1]
-            if not cols:
-                continue
-            stored = ctx.basis_coords(symbols[i - 1])
-            reads[i] = [c + 1 for c in cols]
-            base = (i - 1) * ell
-            for j in range(ell):
-                row = stacked[j]
-                totals[j] += sum(row[base + t] * stored[t] for t in cols)
+        if symbols[star - 1] is not None:
+            raise ValueError(f"node {star} must be erased (None)")
+        held = symbols[: star - 1] + symbols[star:]
+        if set(map(type, held)) != {int} or min(held) < 0 or max(held) >= ctx.order:
+            for i, a in zip(self.helpers(), held):
+                if a is None:
+                    raise ValueError(f"helper {i} is erased; only node {star} may be")
+                if not _is_int(a) or not 0 <= a < ctx.order:
+                    raise ValueError(f"helper {i} holds {a!r}, not a field element")
+        planes, mask, read, cols = self._lanes
+        symbols[star - 1] = 0  # basis_coords(0) = 0: the failed lane of every S_v is zero
+        lanes = ctx.coord_lanes()
+        stored = [(v, int.from_bytes(b"".join(map(lanes[v], symbols)), "little") & mask)
+                  for v in range(1, q)]
+        totals = [0] * ctx.ell
+        for j, g, plane in planes:
+            for v, s in stored:
+                totals[j] += g * v * (plane & s).bit_count()
         value = 0
         for j, mu in enumerate(self._recon):
             value = ctx.add(value, ctx.mul((-totals[j]) % q, mu))
-        return value, reads
+        return value, dict(zip(read, map(list, cols)))
 
     # ---- translation to another node ------------------------------------------------
 

@@ -209,6 +209,38 @@ def io_matrix_oracle(scheme: RepairScheme, i: int) -> list[list[int]]:
     return [list(ctx.dual_coords(poly_eval(ctx, g, alpha))) for g in scheme.duals]
 
 
+def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int, list[int]]]:
+    """The per-helper trace repair the library ran before its packed lanes: a
+    loop over every helper, I/O matrix row and read column, on the scheme's
+    coordinate table."""
+    self.require_valid()
+    ctx, n, q, ell = self.ctx, self.code.n, self.ctx.q, self.ctx.ell
+    symbols = list(symbols)
+    if len(symbols) != n:
+        raise ValueError(f"expected {n} symbols, got {len(symbols)}")
+    if symbols[self.star - 1] is not None:
+        raise ValueError(f"node {self.star} must be erased (None)")
+    stacked, columns = self._table
+    reads: dict[int, list[int]] = {}
+    totals = [0] * ell
+    for i in self.helpers():
+        if symbols[i - 1] is None:
+            raise ValueError(f"helper {i} is erased; only node {self.star} may be")
+        cols = columns[i - 1]
+        if not cols:
+            continue
+        stored = ctx.basis_coords(symbols[i - 1])
+        reads[i] = [c + 1 for c in cols]
+        base = (i - 1) * ell
+        for j in range(ell):
+            row = stacked[j]
+            totals[j] += sum(row[base + t] * stored[t] for t in cols)
+    value = 0
+    for j, mu in enumerate(self._recon):
+        value = ctx.add(value, ctx.mul((-totals[j]) % q, mu))
+    return value, reads
+
+
 def _free_cells(pivots: tuple[int, ...], m: int) -> list[tuple[int, int]]:
     """Unconstrained matrix positions for a pivot pattern, row-major order."""
     pivset = set(pivots)

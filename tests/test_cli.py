@@ -433,6 +433,41 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["order"] == 9
 
 
+def test_back_to_back_main_calls_share_no_state(capsys):
+    # main() parses with one parser per process; no flag, default or output
+    # mode may carry over from one call to the next, nor past a parse error
+    small = ["--q", "2", "--ell", "3", "--k", "5"]
+    calls = [
+        ["--json", "construct", *small, "--node", "3"],
+        ["repair-demo", *small, "--seed", "4"],
+        ["construct", *small, "--no-such-flag"],
+        ["--json", "field-info", "--q", "3", "--ell", "2"],
+        ["construct", *small],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    shared = [run(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0]
+    assert json.loads(shared[0][1])["scheme"]["star"] == 3
+    assert shared[1][1].startswith("repair node 1 ") and shared[4][1].startswith("scheme for")
+    assert "node 1" in shared[4][1].splitlines()[0]
+    assert json.loads(shared[3][1])["order"] == 9
+
+
 def test_usage_error_exit_code():
     proc = subprocess.run(
         [sys.executable, "-m", "repair_lab", "no-such-command"],

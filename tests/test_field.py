@@ -364,6 +364,19 @@ def test_large_field_without_tables():
     assert ctx._dual_table is None and ctx._basis_table is None
 
 
+@pytest.mark.parametrize("q, ell", [(2, 17), (5, 7)])
+def test_table_free_trace_is_the_frobenius_orbit_sum(q, ell):
+    # past the table limit the trace is read off its values at the monomials
+    ctx = FieldContext(q, ell)
+    assert ctx._trace_table is None
+    rng = random.Random(17)
+    for a in [0, 1, q, *(rng.randrange(ctx.order) for _ in range(20))]:
+        orbit, b = 0, a
+        for _ in range(ell):
+            orbit, b = ctx.add(orbit, b), ctx._pow_raw(b, q)
+        assert ctx.trace(a) == orbit
+
+
 # ---- subfield vectors and coset weight ------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from itertools import product
@@ -7,11 +8,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repair_lab.construction import build_low_io_scheme
-from repair_lab.fieldmath import FieldContext, coset_weight
+from repair_lab.fieldmath import FieldContext, coset_weight, poly_shift
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
 
-from oracles import io_matrix_oracle, iter_valid_schemes
+from oracles import io_matrix_oracle, iter_valid_schemes, repair_transcript_oracle
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -370,6 +371,122 @@ def test_repair_input_validation():
     two_gone[3] = None
     with pytest.raises(ValueError, match="helper"):
         scheme.repair_transcript(two_gone)
+
+
+@pytest.mark.parametrize("bad", [-1, 8, 2.5, True, "x"], ids=repr)
+def test_repair_rejects_a_helper_symbol_outside_the_field(bad):
+    # -1 used to index the coordinate table from the end and "recover" 3, not 2
+    scheme = build_low_io_scheme(FieldContext(2, 3), 5, 1)
+    word = scheme.code.random_codeword(1)
+    assert word[0] == 2
+    word[0] = None
+    word[3] = bad
+    with pytest.raises(ValueError, match=r"helper 4 holds .*not a field element"):
+        scheme.repair_transcript(word)
+
+
+@functools.cache
+def _gf2_17():
+    return FieldContext(2, 17)  # beyond the table limit: every coordinate is computed
+
+
+@st.composite
+def _repair_cases(draw):
+    """(scheme, codeword with the failed node erased, erased value) over fields
+    with default or custom moduli and bases, full-length or punctured codes, a
+    lane wider than one byte (GF(2^9)) and a table-free field."""
+    q, ell, modulus = draw(st.sampled_from([
+        (2, 3, None), (2, 4, (1, 0, 0, 1, 1)), (2, 9, None), (3, 2, None),
+        (3, 3, (1, 2, 0, 1)), (5, 2, (2, 1, 1)), (7, 2, None), (2, 17, None),
+    ]), label="field")
+    if ell == 17:
+        ctx = _gf2_17()
+    else:
+        ctx = FieldContext(q, ell, modulus)
+        if draw(st.booleans(), label="custom basis"):
+            basis = draw(st.lists(st.integers(1, ctx.order - 1), min_size=ell, max_size=ell))
+            try:
+                ctx = FieldContext(q, ell, modulus, basis)
+            except ValueError:  # dependent basis
+                assume(False)
+    if ctx.order <= 512 and draw(st.booleans(), label="full length"):
+        points = list(range(ctx.order))
+    else:
+        points = draw(st.lists(st.integers(0, ctx.order - 1), min_size=2, max_size=12, unique=True))
+    n = len(points)
+    r = draw(st.integers(1, min(4, n - 1)), label="r")
+    code = RSCode(ctx, points, n - r)
+    star = draw(st.integers(1, n), label="failed node")
+    # in y = x - alpha*, the constant terms are a scaled dual basis, so the
+    # values at the failed node are independent and every draw is valid
+    scale = draw(st.integers(1, ctx.order - 1), label="scale")
+    element = st.integers(0, ctx.order - 1)
+    duals = [
+        poly_shift(ctx, [ctx.mul(scale, b)] + draw(st.lists(element, min_size=r - 1, max_size=r - 1)),
+                   ctx.neg(points[star - 1]))
+        for b in ctx.dual_basis
+    ]
+    scheme = RepairScheme(code, star, duals)
+    message = draw(st.lists(element, min_size=code.k, max_size=code.k), label="message")
+    word = code.encode(message)
+    erased, word[star - 1] = word[star - 1], None
+    return scheme, word, erased
+
+
+@settings(max_examples=150, deadline=None)
+@given(_repair_cases())
+def test_packed_repair_matches_the_per_helper_oracle(case):
+    scheme, word, erased = case
+    value, reads = scheme.repair_transcript(word)
+    expected_value, expected_reads = repair_transcript_oracle(scheme, word)
+    assert value == expected_value
+    if scheme.code.is_full_length:  # a punctured code's dual needs column multipliers
+        assert value == erased
+    assert list(reads.items()) == list(expected_reads.items())  # same helpers, same order
+    # the mask the helpers' symbols pass through is exactly the reported reads
+    width = 8 * -(-scheme.ctx.ell // 8)
+    _, mask, _, _ = scheme._lanes
+    assert mask == sum(1 << (i - 1) * width + c - 1 for i, cols in reads.items() for c in cols)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_repair_cases(), st.randoms(use_true_random=False))
+def test_packed_repair_reads_only_what_it_reports(case, rng):
+    scheme, word, _ = case
+    ctx = scheme.ctx
+    value, reads = scheme.repair_transcript(word)
+    for i in scheme.helpers():
+        coords = list(ctx.basis_coords(word[i - 1]))
+        for t in set(range(ctx.ell)) - {c - 1 for c in reads.get(i, [])}:
+            coords[t] = rng.randrange(ctx.q)
+        word[i - 1] = ctx.from_basis_coords(coords)
+    assert scheme.repair_transcript(word) == (value, reads)
+
+
+def test_repair_returns_fresh_read_lists():
+    scheme = build_low_io_scheme(GF8, 5, 1)
+    word = scheme.code.random_codeword(3)
+    erased, word[0] = word[0], None
+    first = scheme.repair_transcript(word)[1]
+    expected = {i: list(cols) for i, cols in first.items()}
+    for cols in first.values():
+        cols.append(99)
+    first.clear()
+    assert scheme.repair_transcript(word) == (erased, expected)
+
+
+def test_costing_builds_no_repair_tables():
+    ctx = FieldContext(2, 4)
+    scheme = build_low_io_scheme(ctx, 13, 1).translate(5)
+    copy = RepairScheme.from_dict(json.loads(json.dumps(scheme.to_dict())))
+    for s in (scheme, copy):
+        s.cost_report()
+        assert "_lanes" not in vars(s) and "_recon" not in vars(s)
+        assert not s.ctx._lanes
+    word = copy.code.random_codeword(2)
+    erased, word[4] = word[4], None
+    assert copy.repair_transcript(word)[0] == erased
+    assert "_lanes" in vars(copy) and copy.ctx._lanes
 
 
 # ---- translation -----------------------------------------------------------------

@@ -42,7 +42,8 @@ without tables, and any list of points.
 """
 from __future__ import annotations
 
-from operator import xor
+from functools import lru_cache
+from operator import lshift, mul, xor
 
 from . import linalg
 
@@ -160,12 +161,11 @@ class FieldContext:
         # element -> dual_coords / basis_coords, filled on first use
         self._dual_table: list[tuple[int, ...]] | None = None
         self._basis_table: list[tuple[int, ...]] | None = None
-        self._lanes: dict[bool, list] = {}  # coord_lanes, filled on first use
-        self._monomial_traces: list[int] | None = None
+        self._lanes: dict[bool, object] = {}  # coord_planes' element -> lanes, on first use
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         else:
-            self._monomial_traces = [self.trace(q**j) for j in range(ell)]
+            self._digit_traces = self._monomial_traces()
 
         if basis is None:
             basis = tuple(q**i for i in range(ell))
@@ -269,11 +269,21 @@ class FieldContext:
         if acc != 1:
             raise AssertionError("generator search failed")
         self._exp, self._log = exp, log
-        # trace() sums the Frobenius orbit until its table is set
-        table = self._linear_table([self.trace(m) for m in monomials], add_scalar)
-        if max(table) >= q:
-            raise AssertionError("trace left the subfield")
-        self._trace_table = table
+        self._trace_table = self._linear_table(self._monomial_traces(), add_scalar)
+
+    def _monomial_traces(self) -> list[int]:
+        """Tr(x^j) for j < ell, each the sum of its Frobenius orbit; the trace is
+        B-linear, so these fix it everywhere."""
+        out = []
+        for j in range(self.ell):
+            t = b = self.q**j
+            for _ in range(self.ell - 1):
+                b = self.frobenius(b)
+                t = self.add(t, b)
+            if t >= self.q:
+                raise AssertionError("trace left the subfield")
+            out.append(t)
+        return out
 
     def _coord_table(self, elements) -> list[tuple[int, ...]]:
         """a -> (Tr(a * e) for e in elements) at every element a, one linear
@@ -348,13 +358,7 @@ class FieldContext:
         """Field trace of F down to B, returned as an integer in [0, q)."""
         if self._trace_table is not None:
             return self._trace_table[a]
-        if self._monomial_traces is not None:
-            return sum(d * t for d, t in zip(self.digits(a), self._monomial_traces)) % self.q
-        t, b = a, a
-        for _ in range(self.ell - 1):
-            b = self.frobenius(b)
-            t = self.add(t, b)
-        return t
+        return sum(map(mul, self.digits(a), self._digit_traces)) % self.q
 
     # ---- basis expansions ----------------------------------------------------
 
@@ -393,24 +397,27 @@ class FieldContext:
             table = self._dual_table = self._coord_table(self.basis)
         return table[a]
 
-    def coord_lanes(self, dual: bool = False) -> list:
-        """Per v in B (index 0 unused), a map from element a to its lane, 8*ceil(ell/8)
-        bits as little-endian bytes with bit t set iff coordinate t of basis_coords(a)
-        (dual_coords(a) if `dual`) is v; tabulated once where the coordinate tables exist."""
-        if dual not in self._lanes:
-            coords, width = (self.dual_coords if dual else self.basis_coords), (self.ell + 7) // 8
+    def coord_planes(self, values, dual: bool = False) -> list[int]:
+        """The coordinates of `values` (basis_coords, or dual_coords if `dual`) in
+        packed lanes of w = 8*ceil(ell/8) bits, bit-sliced: value i's lane starts at
+        bit i*depth*w of every plane, and bit t of its lane in plane b, for b < depth
+        = (q-1).bit_length(), is bit b of its coordinate t.  Each element's lanes are
+        tabulated once per context where the coordinate tables exist."""
+        w, depth = (self.ell + 7) // 8, (self.q - 1).bit_length()
+        lanes = self._lanes.get(dual)
+        if lanes is None:
+            coords, sep = (self.dual_coords if dual else self.basis_coords), "0" * (8 * w - 1)
+            spread = lru_cache(_TABLE_LIMIT)(lambda c: int(sep.join(f"{c:b}"), 2))  # bit b -> b*8w
 
-            def lanes_of(a):  # the lanes for v = 1 .. q-1, in one pass over the coordinates
-                bits = [0] * self.q
-                for t, x in enumerate(coords(a)):
-                    bits[x] |= 1 << t
-                return [b.to_bytes(width, "little") for b in bits[1:]]
+            def lanes_of(a):  # a's depth lanes side by side, as bytes
+                lanes = sum(map(lshift, map(spread, coords(a)), range(self.ell)))
+                return lanes.to_bytes(depth * w, "little")
 
-            if self._exp is None:
-                return [None] + [lambda a, v=v: lanes_of(a)[v - 1] for v in range(1, self.q)]
-            tables = zip(*map(lanes_of, range(self.order)))
-            self._lanes[dual] = [None] + [table.__getitem__ for table in tables]
-        return self._lanes[dual]
+            table = self._exp is not None and list(map(lanes_of, range(self.order)))
+            lanes = self._lanes[dual] = table.__getitem__ if table else lanes_of
+        packed = int.from_bytes(b"".join(map(lanes, values)), "little")
+        low = int.from_bytes((b"\xff" * w + bytes((depth - 1) * w)) * len(values), "little")
+        return [(packed >> 8 * w * b) & low for b in range(depth)]
 
     def from_basis_coords(self, coords) -> int:
         a = 0

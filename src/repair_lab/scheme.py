@@ -19,13 +19,12 @@ module; nothing may shortcut one through the other.  Both start from the same
 coordinate expansion, computed once per scheme on first use: the direct route
 reads its per-node nonzero columns, the formula route only the stacked matrix.
 
-Repair runs on packed lanes: node i owns bits (i-1)w .. iw-1 of a big int, w =
-8*ceil(ell/8), and bit t of a lane is coordinate t.  Per scheme, plane R_{j,g}
-marks where row j of the I/O matrices equals g (the failed node's lane is zero)
-and the read mask M is their union; per call, S_v marks where the helpers' stored
-subsymbols equal v, masked by M, so the value depends only on the reads reported.
+Repair runs on bit-sliced packed lanes (FieldContext.coord_planes): plane R_{j,b}
+holds bit b of row j of the I/O matrices, one lane per node (the failed node's is
+zero), the read mask M is their union, and per call S_b holds bit b of the helpers'
+stored subsymbols, masked by M, so the value depends only on the reads reported.
 The trace repair's sum of row_j * stored over the read positions is then
-sum_{g,v} g*v*popcount(R_{j,g} & S_v) mod q: one popcount per row at q = 2.
+sum_{b,b'} 2^(b+b') * popcount(R_{j,b} & S_b') mod q: one popcount per row at q = 2.
 
 Node indices, subsymbol indices, and dual-codeword indices are 1-based in every
 public interface, matching the storage convention (node 1 holds the evaluation
@@ -193,18 +192,17 @@ class RepairScheme:
         ]
 
     @cached_property
-    def _lanes(self) -> tuple[list[tuple[int, int, int]], int, tuple, tuple]:
+    def _lanes(self) -> tuple[list[tuple[int, int, int]], int, dict[int, tuple]]:
         # the packed repair's per-scheme data (module docstring): each plane
-        # R_{j,g} as (j, g, R), the read mask M, the helpers read, their columns
-        lanes, star, columns = self.ctx.coord_lanes(dual=True), self.star, self._table[1]
+        # R_{j,b} as (j, b, R), the read mask M, and each read helper's columns
+        star, columns = self.star, self._table[1]
         zeroed = [ev[: star - 1] + (0,) + ev[star:] for ev in self.evals]  # failed lane: 0
         planes = [
-            (j, g, int.from_bytes(b"".join(map(lanes[g], ev)), "little"))
-            for j, ev in enumerate(zeroed) for g in range(1, self.ctx.q)
+            (j, b, plane) for j, ev in enumerate(zeroed)
+            for b, plane in enumerate(self.ctx.coord_planes(ev, dual=True))
         ]
-        read = tuple(i for i in self.helpers() if columns[i - 1])
-        cols = tuple(tuple(c + 1 for c in columns[i - 1]) for i in read)
-        return planes, reduce(or_, [plane for *_, plane in planes], 0), read, cols
+        reads = {i: tuple(c + 1 for c in columns[i - 1]) for i in self.helpers() if columns[i - 1]}
+        return planes, reduce(or_, [plane for *_, plane in planes], 0), reads
 
     def repair_transcript(self, symbols) -> tuple[int, dict[int, list[int]]]:
         """Repair the erased symbol, returning (value, subsymbols read per helper).
@@ -228,19 +226,17 @@ class RepairScheme:
                     raise ValueError(f"helper {i} is erased; only node {star} may be")
                 if not _is_int(a) or not 0 <= a < ctx.order:
                     raise ValueError(f"helper {i} holds {a!r}, not a field element")
-        planes, mask, read, cols = self._lanes
-        symbols[star - 1] = 0  # basis_coords(0) = 0: the failed lane of every S_v is zero
-        lanes = ctx.coord_lanes()
-        stored = [(v, int.from_bytes(b"".join(map(lanes[v], symbols)), "little") & mask)
-                  for v in range(1, q)]
+        planes, mask, reads = self._lanes
+        symbols[star - 1] = 0  # basis_coords(0) = 0: the failed lane of every S_b is zero
+        stored = [s & mask for s in ctx.coord_planes(symbols)]
         totals = [0] * ctx.ell
-        for j, g, plane in planes:
-            for v, s in stored:
-                totals[j] += g * v * (plane & s).bit_count()
+        for j, shift, plane in planes:
+            for b, s in enumerate(stored):
+                totals[j] += (plane & s).bit_count() << (shift + b)
         value = 0
         for j, mu in enumerate(self._recon):
             value = ctx.add(value, ctx.mul((-totals[j]) % q, mu))
-        return value, dict(zip(read, map(list, cols)))
+        return value, {i: list(cols) for i, cols in reads.items()}
 
     # ---- translation to another node ------------------------------------------------
 

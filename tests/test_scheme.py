@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import time
 from itertools import product
 
 import pytest
@@ -444,9 +445,10 @@ def test_packed_repair_matches_the_per_helper_oracle(case):
         assert value == erased
     assert list(reads.items()) == list(expected_reads.items())  # same helpers, same order
     # the mask the helpers' symbols pass through is exactly the reported reads
-    width = 8 * -(-scheme.ctx.ell // 8)
-    _, mask, _, _ = scheme._lanes
-    assert mask == sum(1 << (i - 1) * width + c - 1 for i, cols in reads.items() for c in cols)
+    ctx = scheme.ctx
+    stride = 8 * -(-ctx.ell // 8) * (ctx.q - 1).bit_length()  # the lanes of one node
+    _, mask, _ = scheme._lanes
+    assert mask == sum(1 << (i - 1) * stride + c - 1 for i, cols in reads.items() for c in cols)
 
 
 @settings(max_examples=80, deadline=None)
@@ -461,6 +463,31 @@ def test_packed_repair_reads_only_what_it_reports(case, rng):
             coords[t] = rng.randrange(ctx.q)
         word[i - 1] = ctx.from_basis_coords(coords)
     assert scheme.repair_transcript(word) == (value, reads)
+
+
+@pytest.mark.parametrize(
+    "q, ell, modulus", [(31, 3, None), (251, 2, None), (65537, 2, (65534, 0, 1))]
+)
+def test_large_q_repair_matches_the_oracle(q, ell, modulus):
+    # 5 to 17 bit planes per coordinate, GF(65537^2) (x^2 - 3) past the table limit;
+    # the first repair builds the context's lane tables, which grow as q^ell * log2(q)
+    ctx = FieldContext(q, ell, modulus)
+    rng = random.Random(q)
+    points = rng.sample(range(ctx.order), 24)
+    code = RSCode(ctx, points, 20)
+    star = rng.randrange(1, 25)
+    duals = [
+        poly_shift(ctx, [b] + [rng.randrange(ctx.order) for _ in range(3)], ctx.neg(points[star - 1]))
+        for b in ctx.dual_basis
+    ]
+    scheme = RepairScheme(code, star, duals)
+    for seed in range(3):
+        word = code.random_codeword(seed)
+        word[star - 1] = None
+        start = time.perf_counter()
+        got = scheme.repair_transcript(word)
+        assert time.perf_counter() - start < 5
+        assert got == repair_transcript_oracle(scheme, word)
 
 
 def test_repair_returns_fresh_read_lists():

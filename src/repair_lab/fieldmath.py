@@ -29,20 +29,20 @@ Coordinate expansions come in two flavours that are easy to mix up:
 
 Contexts are immutable after construction and safe to share across threads.
 
-poly_eval_all evaluates one polynomial at many points at once when q = 2, by
-bit-sliced Horner.  Lane j holds points[j]; a lane vector is stored as ell
-planes, where plane b is one int whose bit j is polynomial digit b of lane j,
-and mask u is the plane of digit u of the points.  Horner's step
-acc <- acc * a + c runs on every lane at once: the product is built over the
-points' digits from the top, R <- x * R + acc * (mask u), where x * R shifts
-the planes up one and XORs the old top plane into each plane b with
-modulus[b] = 1; adding c XORs the all-ones plane into the planes of c's set
-bits.  Only the modulus is read, so the path serves every GF(2^ell), with or
-without tables, and any list of points.
+poly_evaluator(ctx, points) evaluates polynomials at fixed points, all at once
+when q = 2.  The values at the n points are one int of ell planes: bit b*w + j,
+w = 8*ceil(n/8), is digit b of the value at point j.  For d < m (32, fewer past a
+4 MiB budget) it tabulates the planes of x^t * a^d, t < ell; c * a^d is their sum
+over c's set bits t, so a block of m coefficients costs one XOR per set bit.
+Between blocks Horner multiplies by a^m digit by digit from the top,
+R <- x * R + acc * (digit u of a^m), where x * R moves every plane up one and XORs
+the old top plane into each plane b with modulus[b] = 1.  Only the modulus is
+read, so it serves every GF(2^ell), with or without tables, and any points.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from operator import lshift, mul, xor
 
 from . import linalg
@@ -53,6 +53,8 @@ _TABLE_LIMIT = 1 << 16
 # Largest field whose default modulus is derived: the first monic irreducible
 # of degree ell in encoding order (Lidl-Niederreiter, Finite Fields, ch. 3).
 _DERIVE_LIMIT = 5**12
+
+_BLOCK, _PLANE_BUDGET = 32, 1 << 25  # poly_evaluator's rows, fewer past 4 MiB of tables
 
 
 def _is_int(x) -> bool:
@@ -488,39 +490,49 @@ def poly_eval_lanes(ctx: FieldContext, coeffs, points) -> list[int]:
     return acc
 
 
-def poly_eval_all(ctx: FieldContext, coeffs, points) -> list[int]:
-    """[poly_eval(ctx, coeffs, a) for a in points]: bit-sliced when q = 2 (see the
-    module docstring for the layout), poly_eval_lanes otherwise."""
+def poly_evaluator(ctx: FieldContext, points):
+    """coeffs -> [poly_eval(ctx, coeffs, a) for a in points]: when q = 2, XORs of power
+    planes built here once (see the module docstring), and poly_eval_lanes otherwise."""
     points = list(points)
     if ctx.q != 2:
-        return poly_eval_lanes(ctx, coeffs, points)
-    if not points:
-        return []
+        return lambda coeffs: poly_eval_lanes(ctx, coeffs, points)
     n, ell = len(points), ctx.ell
-    ones = (1 << n) - 1
-    # column i of these rows is digit ell-1-i of every lane, lane 0 last
-    rows = [format(a, f"0{ell}b") for a in reversed(points)]
-    masks_top_down = [int("".join(col), 2) for col in zip(*rows)]
-    folds = [b for b in range(ell) if ctx.modulus[b]]
-    acc = [0] * ell
-    for c in reversed(list(coeffs)):
-        if any(acc):
-            prod = [0] * ell
-            for mask in masks_top_down:
-                top = prod[-1]
-                prod = [0] + prod[:-1]
-                if top:
-                    for b in folds:
-                        prod[b] ^= top
-                for b in range(ell):
-                    prod[b] ^= acc[b] & mask
-            acc = prod
-        for b in range(ell):
-            if c >> b & 1:
-                acc[b] ^= ones
-    # row j of the transposed planes is lane n-1-j, top digit first
-    planes = [format(p, f"0{n}b") for p in reversed(acc)]
-    return [int("".join(bits), 2) for bits in zip(*planes)][::-1]
+    w = -(-n // 8) * 8 or 8  # plane stride; one byte when there are no points
+    m = max(1, min(_BLOCK, _PLANE_BUDGET // (ell * ell * w)))
+    ones, keep, every_plane = (1 << n) - 1, (1 << ell * w) - 1, int(f"{1:0{w}b}" * ell, 2)
+    folds = [b * w for b in range(ell) if ctx.modulus[b]]
+
+    def xtimes(v):  # x * v: each plane up one, the top one folded back by the modulus
+        top = v >> (ell - 1) * w
+        return reduce(xor, [top << shift for shift in folds], v << w & keep)
+
+    def times(v, digits):  # v * a at every point; digits[u]: digit u of the a's, in every plane
+        return reduce(lambda r, d: xtimes(r) ^ (v & d), reversed(digits), 0)
+
+    rows = [format(a, f"0{ell}b") for a in reversed(points)]  # column i: digit ell-1-i
+    digits = [int("".join(col), 2) * every_plane for col in zip(*rows)][::-1]
+    powers = list(accumulate(range(m), lambda v, _: times(v, digits), initial=ones))  # a^0..a^m
+    table = [list(accumulate(range(1, ell), lambda v, _: xtimes(v), initial=p)) for p in powers[:m]]
+    giant = [(powers[m] >> u * w & ones) * every_plane for u in range(ell)]
+
+    def evaluate(coeffs) -> list[int]:
+        coeffs, acc = list(coeffs), 0
+        for start in range((len(coeffs) - 1) // m * m, -1, -m):
+            acc = times(acc, giant)
+            for row, c in zip(table, coeffs[start : start + m]):
+                while c:
+                    acc ^= row[(c & -c).bit_length() - 1]
+                    c &= c - 1
+        bits = format(acc, f"0{ell * w}b")  # plane ell-1-i at [i*w, i*w + w), point n-1 first
+        planes = [bits[(i + 1) * w - n : (i + 1) * w] for i in range(ell)]
+        return [int("".join(col), 2) for col in zip(*planes)][::-1]
+
+    return evaluate
+
+
+def poly_eval_all(ctx: FieldContext, coeffs, points) -> list[int]:
+    """[poly_eval(ctx, coeffs, a) for a in points], by a poly_evaluator for this call."""
+    return poly_evaluator(ctx, points)(coeffs)
 
 
 def poly_shift(ctx: FieldContext, coeffs, c: int) -> list[int]:

@@ -3,13 +3,15 @@
 A codeword is the value vector (f(alpha_1), ..., f(alpha_n)) of a message
 polynomial f with deg f < k.  The canonical full-length code evaluates at every
 field element, ordered alpha_1 = 0 followed by the remaining elements in
-ascending integer encoding; node indices are 1-based throughout.
+ascending integer encoding; node indices are 1-based throughout.  Each code keeps
+the fieldmath.poly_evaluator its first encode builds, power-plane tables included.
 """
 from __future__ import annotations
 
 import random
+from functools import cached_property
 
-from .fieldmath import FieldContext, poly_deg, poly_eval_all
+from .fieldmath import FieldContext, poly_deg, poly_evaluator
 
 
 class RSCode:
@@ -45,11 +47,16 @@ class RSCode:
         Raises ValueError for a coefficient outside the field or a degree >= k.
         """
         message = list(message)
-        for c in message:
-            self.ctx._check_element(c)
+        if set(map(type, message)) != {int} or min(message) < 0 or max(message) >= self.ctx.order:
+            for c in message:
+                self.ctx._check_element(c)
         if poly_deg(message) >= self.k:
             raise ValueError(f"message degree {poly_deg(message)} >= k={self.k}")
-        return poly_eval_all(self.ctx, message, self.eval_points)
+        return self._evaluate(message)
+
+    @cached_property
+    def _evaluate(self):
+        return poly_evaluator(self.ctx, self.eval_points)
 
     def random_message(self, seed: int) -> list[int]:
         rng = random.Random(seed)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repair_lab.fieldmath import (
+    _BLOCK,
+    _PLANE_BUDGET,
     FieldContext,
     _default_modulus,
     _is_prime,
@@ -14,6 +17,7 @@ from repair_lab.fieldmath import (
     poly_eval,
     poly_eval_all,
     poly_eval_lanes,
+    poly_evaluator,
     poly_shift,
     poly_trim,
 )
@@ -474,8 +478,36 @@ def test_poly_eval_all_matches_pointwise(data):
     cap = 40 if ctx is GF2_17 else min(ctx.order, 256)
     size = data.draw(st.integers(0, cap), label="n")
     points = data.draw(st.randoms(use_true_random=False)).sample(range(ctx.order), size)
-    coeffs = data.draw(st.lists(st.integers(0, ctx.order - 1), max_size=12), label="coeffs")
+    # messages up to three blocks and one coefficient long, so the steps by a^m
+    # between blocks run (on these point lists a block is _BLOCK long), with
+    # trailing zeros up to the zero polynomial
+    m = _BLOCK
+    edges = st.sampled_from([0, 1, m - 1, m, m + 1, 2 * m, 2 * m + 1, 3 * m, 3 * m + 1])
+    length = data.draw(edges | st.integers(0, 3 * m + 1), label="length")
+    element = st.integers(0, ctx.order - 1)
+    coeffs = data.draw(st.lists(element, min_size=length, max_size=length), label="coeffs")
+    zeros = data.draw(st.just(0) | st.integers(0, length), label="trailing zeros")
+    coeffs[length - zeros :] = [0] * zeros
     assert poly_eval_all(ctx, coeffs, points) == [poly_eval(ctx, coeffs, a) for a in points]
+
+
+def test_evaluator_tables_stay_within_their_budget():
+    # full length at ell = 14 would take 12.8 MB of tables at _BLOCK rows; fewer
+    # rows keep them near the budget, and messages spanning several blocks of the
+    # shorter length still evaluate exactly
+    ctx = FieldContext(2, 14)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate = poly_evaluator(ctx, range(ctx.order))
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept <= 1.25 * _PLANE_BUDGET / 8, kept
+    message = random.Random(14).choices(range(ctx.order), k=3 * _BLOCK + 1)
+    word = evaluate(message)
+    for a in random.Random(3).sample(range(ctx.order), 40):
+        assert word[a] == poly_eval(ctx, message, a)
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,10 @@
 import random
+import re
 from itertools import combinations
 
 import pytest
 
+from repair_lab import rs
 from repair_lab.fieldmath import FieldContext, poly_eval, poly_trim
 from repair_lab.rs import RSCode
 
@@ -46,15 +48,31 @@ def test_encode_identity_message_gf4():
 
 
 @pytest.mark.parametrize(
-    "ctx,message",
-    [(GF8, [9]), (GF8, [-1]), (GF8, [1, 8]), (GF8, [True, 1]), (GF9, [9]), (GF8, [1, 2, 3, 8])],
-    ids=["gf8-9", "gf8-neg", "gf8-8", "gf8-bool", "gf9-9", "gf8-8-over-degree"],
+    "ctx,message,bad",
+    [
+        (GF8, [9], 9), (GF8, [-1], -1), (GF8, [1, 8], 8), (GF8, [True, 1], True),
+        (GF9, [9], 9), (GF8, [1, 2, 3, 8], 8), (GF8, [1, 2.0], 2.0), (GF8, [3, 1.5, 9], 1.5),
+        (GF8, [1, None], None),
+    ],
+    ids=[
+        "gf8-9", "gf8-neg", "gf8-8", "gf8-bool", "gf9-9", "gf8-8-over-degree", "gf8-float",
+        "gf8-float-before-9", "gf8-none",
+    ],
 )
-def test_encode_rejects_non_elements(ctx, message):
-    # checked before the degree, so the last message names its bad coefficient
+def test_encode_rejects_non_elements(ctx, message, bad):
+    # checked before the degree, so the over-degree message names its bad
+    # coefficient too; the first bad coefficient is the one named
     code = RSCode.full_length(ctx, 2)
-    with pytest.raises(ValueError, match="not a field element"):
+    with pytest.raises(ValueError, match=f"^not a field element: {re.escape(repr(bad))}$"):
         code.encode(message)
+
+
+def test_encode_accepts_int_subclasses():
+    class Symbol(int):
+        pass
+
+    code = RSCode.full_length(GF8, 3)
+    assert code.encode([Symbol(3), 1, Symbol(7)]) == code.encode([3, 1, 7])
 
 
 def test_encode_degree_check():
@@ -145,6 +163,31 @@ def test_full_length_n1024_codeword_matches_pointwise_oracle(seed):
     message = code.random_message(seed)
     assert word == [poly_eval(ctx, message, a) for a in code.eval_points]
     assert is_codeword(code, word)
+
+
+def test_encode_builds_its_tables_once_per_code(monkeypatch):
+    evaluator, built = rs.poly_evaluator, []
+
+    def counting(ctx, points):
+        built.append(tuple(points))
+        return evaluator(ctx, points)
+
+    monkeypatch.setattr(rs, "poly_evaluator", counting)
+    ctx = FieldContext(2, 6)
+    code = RSCode.full_length(ctx, 60)
+    words = [code.random_codeword(seed) for seed in (1, 2)]
+    assert built == [code.eval_points]
+    assert code._evaluate is code._evaluate
+    for seed, word in zip((1, 2), words):
+        assert word == [poly_eval(ctx, code.random_message(seed), a) for a in code.eval_points]
+    # two codes over one context, on different points, keep separate tables
+    evens, odds = RSCode(ctx, range(0, 64, 2), 30), RSCode(ctx, range(63, 0, -3), 20)
+    for seed in range(3):
+        for other in (evens, odds):
+            message = other.random_message(seed)
+            word = other.encode(message)
+            assert word == [poly_eval(ctx, message, a) for a in other.eval_points]
+    assert built == [code.eval_points, evens.eval_points, odds.eval_points]
 
 
 def test_random_codeword_reproducible():

@@ -530,11 +530,6 @@ def poly_evaluator(ctx: FieldContext, points):
     return evaluate
 
 
-def poly_eval_all(ctx: FieldContext, coeffs, points) -> list[int]:
-    """[poly_eval(ctx, coeffs, a) for a in points], by a poly_evaluator for this call."""
-    return poly_evaluator(ctx, points)(coeffs)
-
-
 def poly_shift(ctx: FieldContext, coeffs, c: int) -> list[int]:
     """Coefficients of p(x + c); degree is preserved."""
     out: list[int] = []

@@ -1,61 +1,115 @@
-"""Exact Gaussian elimination over the prime field Z_p.
+"""Exact Gaussian elimination over the prime field Z_p, on packed rows.
 
-Matrices are lists of row lists with integer entries in [0, p).  Everything here
-is exact integer arithmetic; there is no floating point anywhere in this package.
+A row of digits mod p is one int (Packing): b-bit fields, column 0 most
+significant, so integer order is tuple order and the leading column is read off
+the bit length.  The one elimination is `echelon`, a forward pass keeping a pivot
+per leading field, and `back_substitute`, its reduced form; rank, rref, inverse
+and nullspace pack their list rows and run it, and the search and the scheme
+costing hand it rows they packed.  No floating point anywhere in this package.
 """
 from __future__ import annotations
+
+from functools import reduce
+from operator import xor
+
+
+class Packing:
+    """Rows of `width` digits mod q in b-bit fields.  A field sum >= q shows in
+    its high bit once 2^(b-1) - q is added (`over`); for q = 2 fields are bits
+    and addition is XOR.  No table of size q is built, so any prime q serves."""
+
+    def __init__(self, q: int, width: int):
+        self.q, self.width = q, width
+        self.b = b = 1 if q == 2 else (2 * q - 1).bit_length() + 1
+        self.mask = (1 << b) - 1
+        self.ones = ((1 << b * width) - 1) // self.mask
+        self.high = self.ones << (b - 1)
+        self.over = ((1 << (b - 1)) - q) * self.ones
+        # byte x -> the ASCII digit of x mod q, which int() reads in base 2^b for b <= 5
+        self._chars = (bytes(range(48, 48 + q)) * 256)[:256] if b <= 5 else None
+        if q == 2:
+            self.add = xor  # shadows the method below; reduce() runs it in C
+
+    def pack(self, digits) -> int:
+        """The packed row of a sequence of integers, read mod q: where a field
+        is one int() digit, by bytes, translate and int in base 2^b."""
+        q, b, chars = self.q, self.b, self._chars
+        if chars is None:
+            return reduce(lambda v, d: v << b | d % q, digits, 0)
+        try:
+            raw = bytes(digits)
+        except ValueError:  # an entry outside 0..255
+            raw = bytes([d % q for d in digits])
+        return int(raw.translate(chars) or b"0", 1 << b)
+
+    def unpack(self, v: int) -> list[int]:
+        b, size = self.b, self.width * self.b
+        bits = format(v, f"0{size}b")
+        return [int(bits[i : i + b], 2) for i in range(0, size, b)]
+
+    def add(self, x: int, y: int) -> int:
+        s = x + y
+        return s - (((s + self.over) & self.high) >> (self.b - 1)) * self.q
+
+    def scale(self, v: int, g: int) -> int:
+        """g * v for 0 <= g < q, by doubling."""
+        out = v if g & 1 else 0
+        while g := g >> 1:
+            v = self.add(v, v)
+            if g & 1:
+                out = self.add(out, v)
+        return out
+
+
+def echelon(pk: Packing, rows) -> dict[int, int]:
+    """Forward pass: {field f: pivot row}, one pivot per leading field (column
+    width-1-f), leading digit 1.  A row is cleared by the pivot owning its leading
+    field until it owns a new one or vanishes; the pivot count is the rank."""
+    q, b, add, scale = pk.q, pk.b, pk.add, pk.scale
+    pivots: dict[int, int] = {}
+    for v in rows:
+        if q == 2:  # fields are bits and clearing is one XOR: the hot case, inlined
+            while v and (f := v.bit_length() - 1) in pivots:
+                v ^= pivots[f]
+            if v:
+                pivots[f] = v
+            continue
+        while v and (f := (v.bit_length() - 1) // b) in pivots:
+            v = add(v, scale(pivots[f], q - (v >> f * b)))
+        if v:
+            pivots[f] = scale(v, pow(v >> f * b, -1, q))
+    return pivots
+
+
+def back_substitute(pk: Packing, pivots: dict[int, int]) -> list[int]:
+    """Reduced echelon form of echelon()'s pivots, pivot columns ascending: each
+    pivot, lowest field first, is cleared at every lower pivot's field."""
+    q, b, mask, add, scale = pk.q, pk.b, pk.mask, pk.add, pk.scale
+    done: dict[int, int] = {}
+    for f in sorted(pivots):
+        v = pivots[f]
+        for g, w in done.items():
+            if d := v >> g * b & mask:
+                v = add(v, scale(w, q - d))
+        done[f] = v
+    return sorted(done.values(), reverse=True)
+
+
+def _pivots(rows: list[list[int]], p: int) -> tuple[Packing, dict[int, int]]:
+    pk = Packing(p, len(rows[0]) if rows else 0)
+    return pk, echelon(pk, [pk.pack(row) for row in rows])
 
 
 def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form.  Returns (nonzero rows, pivot column indices)."""
-    a = [[x % p for x in row] for row in rows]
-    if not a:
-        return [], []
-    ncols = len(a[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = pow(a[r][c], p - 2, p)
-        a[r] = [(x * inv) % p for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(a):
-            break
-    return a[:r], pivots
+    pk, pivots = _pivots(rows, p)
+    red = back_substitute(pk, pivots)
+    columns = [pk.width - 1 - (v.bit_length() - 1) // pk.b for v in red]
+    return [pk.unpack(v) for v in red], columns
 
 
 def rank(rows: list[list[int]], p: int) -> int:
-    if p != 2:
-        return len(rref(rows, p)[0])
-    # GF(2): one byte per entry packed into an int, keeping each byte's low bit
-    if not rows:
-        return 0
-    ones = int.from_bytes(b"\x01" * len(rows[0]), "little")
-    try:
-        packed = [int.from_bytes(bytes(row), "little") & ones for row in rows]
-    except ValueError:  # an entry outside 0..255
-        packed = [int.from_bytes(bytes(x & 1 for x in row), "little") for row in rows]
-    return gf2_rank(packed)
-
-
-def gf2_rank(packed) -> int:
-    """Rank over GF(2) of vectors packed into ints, one bit per coordinate: each
-    is reduced by the pivot owning its lowest set bit until it owns a new one."""
-    pivots: dict[int, int] = {}
-    for v in packed:
-        while v and (low := v & -v) in pivots:
-            v ^= pivots[low]
-        if v:
-            pivots[low] = v
-    return len(pivots)
+    return len(_pivots(rows, p)[1])
 
 
 def inverse(a: list[list[int]], p: int) -> list[list[int]]:

@@ -46,21 +46,18 @@ def qp_image(ctx: FieldContext, thetas) -> tuple[int, ...]:
 
 
 def _solve_square_field(ctx: FieldContext, m: list[list[int]], rhs: list[int]) -> list[int]:
-    """Gauss-Jordan over F; m is square and must be invertible."""
-    t = len(m)
-    a = [row[:] + [r] for row, r in zip(m, rhs)]
-    for c in range(t):
-        piv = next((i for i in range(c, t) if a[i][c]), None)
-        if piv is None:
-            raise ValueError("singular system")
-        a[c], a[piv] = a[piv], a[c]
-        inv = ctx.inv(a[c][c])
-        a[c] = [ctx.mul(inv, x) for x in a[c]]
-        for i in range(t):
-            if i != c and a[i][c]:
-                f = a[i][c]
-                a[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[i], a[c])]
-    return [a[i][t] for i in range(t)]
+    """z with m z = rhs over F, m square and invertible, solved over B: unknown
+    (j, u) is coordinate u of z_j, and equation (i, d) is digit d of row i."""
+    t, ell = len(m), ctx.ell
+    rows = []
+    for row, r in zip(m, rhs):
+        columns = [ctx.digits(ctx.mul(a, b)) for a in row for b in ctx.basis]
+        rows += map(list, zip(*columns, ctx.digits(r)))
+    red, pivots = linalg.rref(rows, ctx.q)
+    if pivots != list(range(t * ell)):
+        raise ValueError("singular system")
+    z = [row[-1] for row in red]
+    return [ctx.from_basis_coords(z[j * ell : (j + 1) * ell]) for j in range(t)]
 
 
 def solve_annihilator(ctx: FieldContext, betas) -> list[int]:

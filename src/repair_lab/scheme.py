@@ -7,9 +7,10 @@ every node whose rows are the dual-basis coordinate vectors of the dual codeword
 values there.  Repairing reads, at helper i, exactly the subsymbols under the
 nonzero columns of that matrix:
 
-- bandwidth (subsymbols transmitted) sums the matrix ranks over the helpers, which
-  are dim_B span{g_j(alpha_i)} as dual_coords is a B-linear bijection (the trace form
-  is nondegenerate); so is the integer encoding at q = 2, whose bits give the ranks;
+- bandwidth (subsymbols transmitted) sums the matrix ranks over the helpers.  A row
+  of node i's matrix depends only on the value g_j(alpha_i), so each distinct value's
+  row is packed once (linalg.Packing), and each helper's rank is one run of linalg's
+  packed elimination on its ell rows, for every q;
 - I/O cost (subsymbols read) sums the nonzero-column counts over the helpers.
 
 The I/O cost is also computed by a second, independent route: the total Hamming
@@ -135,15 +136,11 @@ class RepairScheme:
 
     @cached_property
     def _ranks(self) -> list[int]:
-        # every helper's I/O matrix rank, in helpers() order (q = 2: module docstring)
-        ell, q = self.ctx.ell, self.ctx.q
-        if q == 2:
-            return [linalg.gf2_rank(v) for i, v in enumerate(zip(*self.evals), 1) if i != self.star]
-        stacked, _ = self._table
-        return [
-            linalg.rank([row[(i - 1) * ell : i * ell] for row in stacked], q)
-            for i in self.helpers()
-        ]
+        # every helper's I/O matrix rank, in helpers() order (module docstring)
+        ctx, pk = self.ctx, linalg.Packing(self.ctx.q, self.ctx.ell)
+        row = {a: pk.pack(ctx.dual_coords(a)) for a in set(chain.from_iterable(self.evals))}
+        rows = zip(*(map(row.__getitem__, ev) for ev in self.evals))  # per node, its ell rows
+        return [len(linalg.echelon(pk, r)) for i, r in enumerate(rows, 1) if i != self.star]
 
     def bandwidth(self) -> int:
         """Subsymbols transmitted: sum of I/O matrix ranks over the helpers."""

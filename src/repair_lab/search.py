@@ -28,8 +28,9 @@ keeps its least cost and every (slice, counter) reaching it.  The witness,
 whatever the worker count, is the lexicographically smallest reduced-echelon
 basis (over the basis[t] * x^d) among the tied orbits' members.  A scaling is
 B-linear in the e_{d,u} coordinates, so each c gives one table per search, the
-packed multiples of c^d e_{d,u}: an image row is a sum of entries, reduced by
-packed elimination (column 0 most significant, so integer order is tuple order).
+packed multiples of c^d e_{d,u} in linalg's row format (column 0 most
+significant, so integer order is tuple order): an image row is a sum of
+entries, and linalg's one elimination reduces each image's rows.
 
 A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
 at interactive scale.
@@ -39,11 +40,12 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
-from itertools import repeat
-from operator import or_, xor
+from itertools import accumulate, repeat
+from operator import or_
 
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
 from .fieldmath import FieldContext, poly_shift
+from .linalg import Packing, back_substitute, echelon
 from .rs import RSCode
 from .scheme import RepairScheme
 
@@ -74,40 +76,6 @@ def visit_count(q: int, ell: int, r: int) -> int:
 
 
 # ---- the graph form ----------------------------------------------------------------
-
-
-class _Packing:
-    """Vectors of `width` digits mod q packed into b-bit fields, column 0 most
-    significant, so integer order is the vectors' tuple order.  A field sum >= q
-    shows in its high bit once 2^(b-1) - q is added (`over`); for q = 2 fields
-    are bits and addition is XOR."""
-
-    def __init__(self, q: int, width: int):
-        self.q, self.width = q, width
-        self.b = 1 if q == 2 else (2 * q - 1).bit_length() + 1
-        self.mask = (1 << self.b) - 1
-        self.ones = self.pack([1] * width)
-        self.high = self.ones << (self.b - 1)
-        self.over = ((1 << (self.b - 1)) - q) * self.ones
-        if q == 2:
-            self.add = xor  # shadows the method below; reduce() runs it in C
-
-    def pack(self, digits) -> int:
-        return reduce(lambda v, d: v << self.b | d, digits, 0)
-
-    def unpack(self, v: int) -> tuple[int, ...]:
-        return tuple(v >> j * self.b & self.mask for j in reversed(range(self.width)))
-
-    def add(self, x: int, y: int) -> int:
-        s = x + y
-        return s - (((s + self.over) & self.high) >> (self.b - 1)) * self.q
-
-    def multiples(self, v: int) -> list[int]:
-        """[0, v, 2v, ..., (q-1)v]."""
-        out = [0, v]
-        for _ in range(self.q - 2):
-            out.append(self.add(out[-1], v))
-        return out
 
 
 def _cells(s: int, ell: int, r: int) -> list[tuple[int, int]]:
@@ -167,7 +135,7 @@ def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
     return RepairScheme(code, star, duals)
 
 
-def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: _Packing):
+def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing):
     """Reduced-echelon bases, packed by pk (width r*ell) over the basis[t] * x^d,
     of each tie (slice, counter) and, outside the A_1 = 0 slice, of all its
     q^ell - 1 scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole)."""
@@ -180,31 +148,15 @@ def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: _Packing):
         for d in range(r):
             for b in ctx.basis:
                 cb = ctx.mul(ctx.power(c, d), b)
-                coords = (x for a in powers[d] for x in ctx.basis_coords(ctx.mul(cb, a)))
-                table += pk.multiples(pk.pack(coords))
+                coords = [x for a in powers[d] for x in ctx.basis_coords(ctx.mul(cb, a))]
+                table += accumulate(repeat(pk.pack(coords), q - 1), pk.add, initial=0)
     for s, counter in ties:
         rows = _graph_rows(ctx, r, s, counter)
         graph = [[k * q + g for k, g in enumerate(row) if g] for row in rows]
         for c in tables if s < ell else (1,):
             entry = tables[c].__getitem__
-            yield _echelon(pk, [reduce(pk.add, map(entry, row)) for row in graph])
-
-
-def _echelon(pk: _Packing, rows: list[int]) -> list[int]:
-    """Reduced echelon form of independent packed rows, pivot columns ascending."""
-    q, b, mask, add = pk.q, pk.b, pk.mask, pk.add
-    rest, done = list(rows), []
-    while rest:
-        v = max(rest)  # the leftmost pivot is the highest nonzero field
-        rest.remove(v)
-        f = (v.bit_length() - 1) // b * b
-        mult = pk.multiples(v)
-        inv = pow(v >> f & mask, q - 2, q)  # the pivot row is mult[inv]
-        clear = [mult[-g * inv % q] for g in range(q)]  # -g * pivot row
-        rest = [add(w, clear[w >> f & mask]) for w in rest]
-        done = [add(w, clear[w >> f & mask]) for w in done]
-        done.append(mult[inv])
-    return done
+            image = [reduce(pk.add, map(entry, row)) for row in graph]
+            yield back_substitute(pk, echelon(pk, image))
 
 
 # ---- the scan ----------------------------------------------------------------------
@@ -239,9 +191,9 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
     t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
     dual-space row is added to one scheme row.  Rows (n*ell subsymbol
-    coordinates) are packed by _Packing.  The cost counts the nonzero fields of
-    the rows' OR, less the ell columns of the failed node; the OR of the slow
-    rows is rebuilt only when one of them moves.
+    coordinates) are packed by linalg.Packing.  The cost counts the nonzero
+    fields of the rows' OR, less the ell columns of the failed node; the OR of
+    the slow rows is rebuilt only when one of them moves.
 
     The scan is an exact branch and bound.  The fast row's m cells are digits
     0..m-1, so within an aligned block of q^m counters the slow digits g_j,
@@ -255,7 +207,7 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     """
     q, ell = ctx.q, ctx.ell
     data = _shifted_rows(ctx, r, star)
-    pk = _Packing(q, len(data[0]))
+    pk = Packing(q, len(data[0]))
     P = [pk.pack(row) for row in data]
     high, over, shift, nonzero = pk.high, pk.over, pk.b - 1, pk.high - pk.ones
 
@@ -272,7 +224,7 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
         rows = [pack(coords) for coords in _graph_rows(ctx, r, s, start)]
         if m:  # the fast row at a block boundary, indexed by a_m
             base = pack(_graph_rows(ctx, r, s, 0)[fast])
-            resets = [pk.add(base, v) for v in pk.multiples(P[cells[m - 1][1]])]
+            resets = list(accumulate(repeat(P[cells[m - 1][1]], q - 1), pk.add, initial=base))
         t, i = start, None
         while True:
             if i != fast:  # a slow row moved (or this range just began)
@@ -372,7 +324,7 @@ def min_io_exhaustive(
         raise VerificationError(f"visited {total} schemes, expected {expected}")
     cost = min(best for _, _, best, _ in results)
     ties = [tie for _, _, best, found in results if best == cost for tie in found]
-    pk = _Packing(q, r * ell)
+    pk = Packing(q, r * ell)
     key = min(_orbit_keys(ctx, r, star, ties, pk))
     scheme = _rows_to_scheme(ctx, [pk.unpack(v) for v in key], r, star)
     if scheme.validate() is not None or scheme.io_cost_direct() != cost:

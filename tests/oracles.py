@@ -13,10 +13,11 @@ from repair_lab import linalg
 from repair_lab.fieldmath import (
     FieldContext, _is_prime, poly_deg, poly_eval, poly_shift, poly_trim,
 )
+from repair_lab.linalg import Packing
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _Packing, _cells, _graph_rows, _rows_to_scheme, _shifted_rows
+from repair_lab.search import _cells, _graph_rows, _rows_to_scheme, _shifted_rows
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -154,10 +155,38 @@ def qp_kernel(ctx: FieldContext, thetas) -> tuple[int, ...]:
 # ---- linear algebra ------------------------------------------------------------------
 
 
+def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over Z_p by Gauss-Jordan on lists of rows, the
+    reference for the library's packed elimination.  Returns (nonzero rows,
+    pivot column indices)."""
+    a = [[x % p for x in row] for row in rows]
+    if not a:
+        return [], []
+    ncols = len(a[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = pow(a[r][c], p - 2, p)
+        a[r] = [(x * inv) % p for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(a):
+            break
+    return a[:r], pivots
+
+
 def solve(a: list[list[int]], b: list[int], p: int) -> list[int] | None:
     """One solution x of a·x = b over Z_p, or None if the system is inconsistent."""
     aug = [row + [bv] for row, bv in zip(a, b)]
-    red, pivots = linalg.rref(aug, p)
+    red, pivots = rref(aug, p)
     ncols = len(a[0]) if a else 0
     if ncols in pivots:  # pivot in the constant column
         return None
@@ -386,13 +415,13 @@ def plain_scan(ctx: FieldContext, r: int, star: int, items):
     base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
     t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
     dual-space row is added to one scheme row.  Rows (n*ell subsymbol
-    coordinates) are packed by _Packing.  The cost counts the nonzero fields of
-    the rows' OR, less the ell columns of the failed node; the OR of the slow
-    rows is rebuilt only when one of them moves.
+    coordinates) are packed by linalg.Packing.  The cost counts the nonzero
+    fields of the rows' OR, less the ell columns of the failed node; the OR of
+    the slow rows is rebuilt only when one of them moves.
     """
     q, ell = ctx.q, ctx.ell
     data = _shifted_rows(ctx, r, star)
-    pk = _Packing(q, len(data[0]))
+    pk = Packing(q, len(data[0]))
     P = [pk.pack(row) for row in data]
     high, over, shift, nonzero = pk.high, pk.over, pk.b - 1, pk.high - pk.ones
 
@@ -436,7 +465,7 @@ def orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):
     """Flattened reduced-echelon bases, over the basis[t] * x^d, of slice s's
     scheme at a Gray counter and, outside the A_1 = 0 slice, of all its q^ell - 1
     scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole).  Each image is
-    built as polynomials and reduced by linalg.rref."""
+    built as polynomials and reduced by the list Gauss-Jordan `rref`."""
     ell, shift = ctx.ell, ctx.neg(star - 1)
     graph = [
         [ctx.from_basis_coords(row[d * ell : (d + 1) * ell]) for d in range(r)]
@@ -450,4 +479,4 @@ def orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):
             g = poly_shift(ctx, [ctx.mul(f, a) for f, a in zip(scale, coeffs)], shift)
             g += [0] * (r - len(g))
             rows.append([x for a in g for x in ctx.basis_coords(a)])
-        yield tuple(x for row in linalg.rref(rows, ctx.q)[0] for x in row)
+        yield tuple(x for row in rref(rows, ctx.q)[0] for x in row)

@@ -15,7 +15,6 @@ from repair_lab.fieldmath import (
     coset_weight,
     poly_deg,
     poly_eval,
-    poly_eval_all,
     poly_eval_lanes,
     poly_evaluator,
     poly_shift,
@@ -488,7 +487,7 @@ def test_poly_eval_all_matches_pointwise(data):
     coeffs = data.draw(st.lists(element, min_size=length, max_size=length), label="coeffs")
     zeros = data.draw(st.just(0) | st.integers(0, length), label="trailing zeros")
     coeffs[length - zeros :] = [0] * zeros
-    assert poly_eval_all(ctx, coeffs, points) == [poly_eval(ctx, coeffs, a) for a in points]
+    assert poly_evaluator(ctx, points)(coeffs) == [poly_eval(ctx, coeffs, a) for a in points]
 
 
 def test_evaluator_tables_stay_within_their_budget():
@@ -522,7 +521,7 @@ def test_evaluator_tables_stay_within_their_budget():
 def test_poly_eval_all_edge_messages(ctx, coeffs):
     for points in (range(ctx.order), [7, 0, 3, 5], []):
         expected = [poly_eval(ctx, coeffs, a) for a in points]
-        assert poly_eval_all(ctx, coeffs, points) == expected
+        assert poly_evaluator(ctx, points)(coeffs) == expected
         assert poly_eval_lanes(ctx, coeffs, points) == expected
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repair_lab import linalg
 
-from oracles import solve
+from oracles import rref as list_rref, solve
 
 
 def _mat_vec(a, x, p):
@@ -25,6 +25,8 @@ def test_rref_known_gf2():
 
 
 def test_rref_known_gf3():
+    # a lone row comes back scaled to a leading 1
+    assert linalg.rref([[2, 1, 0]], 3) == ([[1, 2, 0]], [0])
     # the rows agree on the first two columns up to scale, so the second pivot
     # lands in the last column
     rows, pivots = linalg.rref([[2, 1, 0], [1, 2, 1]], 3)
@@ -95,7 +97,7 @@ def test_solve_underdetermined_still_solves():
     assert _mat_vec(a, got, 2) == [1]
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", [2, 3, 5, 65537, 2**61 - 1])
 def test_inverse_roundtrip(p):
     rng = random.Random(5 * p)
     built = 0
@@ -142,34 +144,39 @@ def test_nonzero_columns():
     assert linalg.nonzero_columns([[], []]) == []
 
 
-# ---- the packed GF(2) rank against rref ---------------------------------------------
+# ---- the packed elimination against the list Gauss-Jordan ------------------------
 
 
 def _rref_rank(rows, p):
-    return len(linalg.rref(rows, p)[0])
+    return len(list_rref(rows, p)[0])
+
+
+def _check_against_the_oracle(rows, p):
+    assert linalg.rank(rows, p) == _rref_rank(rows, p)
+    assert linalg.rref(rows, p) == list_rref(rows, p)
 
 
 @st.composite
-def _gf2_matrices(draw):
-    nrows, ncols = draw(st.integers(0, 12)), draw(st.integers(0, 70))
-    bits = draw(st.integers(0, 2 ** (nrows * ncols) - 1))
-    return [[(bits >> (i * ncols + j)) & 1 for j in range(ncols)] for i in range(nrows)]
+def _matrices(draw, primes=(2, 3, 5, 7), max_rows=10, max_cols=70):
+    """(p, rows): rows are combinations of a few drawn rows, so dependent and
+    zero rows are common."""
+    p = draw(st.sampled_from(primes))
+    nrows, ncols = draw(st.integers(0, max_rows)), draw(st.integers(0, max_cols))
+    digit = st.integers(0, p - 1)
+    base = draw(st.lists(st.lists(digit, min_size=ncols, max_size=ncols), max_size=nrows))
+    rows = []
+    for _ in range(nrows):
+        coeffs = draw(st.lists(digit, min_size=len(base), max_size=len(base)))
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, base)) % p for j in range(ncols)])
+    return p, rows
 
 
-@st.composite
-def _int_matrices(draw):
-    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 12))
-    entries = draw(st.sampled_from([st.integers(0, 255), st.integers(-600, 600)]))
-    flat = draw(st.lists(entries, min_size=nrows * ncols, max_size=nrows * ncols))
-    return [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
-
-
-def _low_rank(rng, nrows, ncols, rank):
+def _low_rank(rng, p, nrows, ncols, rank):
     # nrows combinations of `rank` random rows
-    base = [[rng.randrange(2) for _ in range(ncols)] for _ in range(rank)]
+    base = [[rng.randrange(p) for _ in range(ncols)] for _ in range(rank)]
     return [
-        [sum(c * row[j] for c, row in zip(coeffs, base)) % 2 for j in range(ncols)]
-        for coeffs in ([rng.randrange(2) for _ in base] for _ in range(nrows))
+        [sum(c * row[j] for c, row in zip(coeffs, base)) % p for j in range(ncols)]
+        for coeffs in ([rng.randrange(p) for _ in base] for _ in range(nrows))
     ]
 
 
@@ -177,22 +184,47 @@ _RNG = random.Random(2017)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_gf2_matrices())
-@example([])
-@example([[]])
-@example([[], [], []])
-@example([[0] * 10240])
-@example([[_RNG.randrange(2) for _ in range(10240)]])
-@example([[_RNG.randrange(2) for _ in range(10240)] for _ in range(10)])
-@example(_low_rank(_RNG, 10, 10240, 6))
-@example([[1] * 10240 for _ in range(10)])
-def test_gf2_rank_matches_rref(rows):
-    assert linalg.rank(rows, 2) == _rref_rank(rows, 2)
+@given(_matrices())
+@example((2, []))
+@example((3, []))
+@example((2, [[]]))
+@example((7, [[]]))
+@example((5, [[], [], []]))
+@example((2, [[0] * 10240]))
+@example((2, [[_RNG.randrange(2) for _ in range(10240)]]))
+@example((2, [[_RNG.randrange(2) for _ in range(10240)] for _ in range(10)]))
+@example((2, _low_rank(_RNG, 2, 10, 10240, 6)))
+@example((2, [[1] * 10240 for _ in range(10)]))
+@example((3, _low_rank(_RNG, 3, 6, 10240, 4)))
+@example((7, [[_RNG.randrange(7) for _ in range(10240)] for _ in range(3)]))
+def test_packed_rank_and_rref_match_the_list_oracle(case):
+    p, rows = case
+    _check_against_the_oracle(rows, p)
+
+
+@st.composite
+def _int_matrices(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 12))
+    entries = draw(st.sampled_from([st.integers(0, 255), st.integers(-600, 600)]))
+    flat = draw(st.lists(entries, min_size=nrows * ncols, max_size=nrows * ncols))
+    return p, [flat[i * ncols : (i + 1) * ncols] for i in range(nrows)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(_int_matrices())
-@example([[256, 257, -1], [2, 3, 1]])
-@example([[2, 3, 254], [4, 5, 255]])
-def test_gf2_rank_reduces_any_integer_mod_2(rows):
-    assert linalg.rank(rows, 2) == _rref_rank(rows, 2)
+@example((2, [[256, 257, -1], [2, 3, 1]]))
+@example((2, [[2, 3, 254], [4, 5, 255]]))
+@example((3, [[2**70, -(2**70), 5], [3, 4, 255]]))
+def test_packed_rank_and_rref_reduce_any_integer_mod_p(case):
+    p, rows = case
+    _check_against_the_oracle(rows, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_matrices(primes=(65537, 2**61 - 1), max_rows=5, max_cols=5))
+@example((2**61 - 1, [[2**61 - 2, 1, 3], [1, 2**60, 2**61 - 2], [2**61 - 3, 2, 5]]))
+def test_packed_elimination_at_large_primes(case):
+    # fields too wide for one int() digit: packed one digit at a time, scaled by doubling
+    p, rows = case
+    _check_against_the_oracle(rows, p)

@@ -14,6 +14,7 @@ from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
 
 from oracles import io_matrix_oracle, iter_valid_schemes, repair_transcript_oracle
+from oracles import rref as list_rref
 
 GF4 = FieldContext(2, 2)
 GF8 = FieldContext(2, 3)
@@ -150,7 +151,7 @@ def test_io_table_matches_the_direct_expansion():
         for i in range(1, n + 1):
             assert scheme.io_matrix(i) == oracle[i]
         helpers = scheme.helpers()
-        ranks = [len(linalg.rref(oracle[i], q)[0]) for i in helpers]
+        ranks = [len(list_rref(oracle[i], q)[0]) for i in helpers]
         cols = [[c + 1 for c in linalg.nonzero_columns(oracle[i])] for i in helpers]
         assert scheme.bandwidth() == sum(ranks)
         assert scheme.io_cost_direct() == sum(len(c) for c in cols)
@@ -163,38 +164,53 @@ def test_io_table_matches_the_direct_expansion():
             assert scheme.io_cost_formula() == report["bandwidth"] == report["io_cost"] == 9206
 
 
-def test_helper_ranks_are_computed_once(monkeypatch):
+def _check_helper_ranks_once(monkeypatch, scheme, bandwidth):
     from repair_lab import linalg
 
-    scheme = build_low_io_scheme(FieldContext(2, 4), 11, 2).translate(6)
     n, ell = scheme.code.n, scheme.ctx.ell
-    shapes, sizes = [], []
-    rank, gf2_rank = linalg.rank, linalg.gf2_rank
+    sizes, shapes, rrefs = [], [], []
+    echelon, rank, rref = linalg.echelon, linalg.rank, linalg.rref
+
+    def counting_echelon(pk, rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return echelon(pk, rows)
 
     def counting_rank(rows, p):
         shapes.append((len(rows), len(rows[0])))
         return rank(rows, p)
 
-    def counting_gf2_rank(packed):
-        packed = list(packed)
-        sizes.append(len(packed))
-        return gf2_rank(packed)
+    def counting_rref(rows, p):
+        rrefs.append((len(rows), len(rows[0])))
+        return rref(rows, p)
 
-    # every GF(2) elimination, rank()'s included, goes through gf2_rank
+    # every elimination, rank()'s and rref()'s included, goes through echelon
+    monkeypatch.setattr(linalg, "echelon", counting_echelon)
     monkeypatch.setattr(linalg, "rank", counting_rank)
-    monkeypatch.setattr(linalg, "gf2_rank", counting_gf2_rank)
-    assert scheme.bandwidth() == 36
-    # one elimination per helper, on its ell dual codeword values
+    monkeypatch.setattr(linalg, "rref", counting_rref)
+    assert scheme.bandwidth() == bandwidth
+    # one elimination per helper, on its ell dual codeword values, and no list rref
     assert sizes == [ell] * (n - 1)
-    assert shapes == []
+    assert shapes == rrefs == []
     del sizes[:]
-    assert scheme.bandwidth() == 36
+    assert scheme.bandwidth() == bandwidth
     assert sizes == []
     report = scheme.cost_report()
-    assert report["bandwidth"] == report["io_cost"] == 36
+    assert report["bandwidth"] == report["io_cost"] == bandwidth
     # only validate() at the failed node and the formula route's stacked matrix
     assert sorted(shapes) == [(ell, ell), (ell, n * ell)]
     assert sizes == [ell, ell]
+    assert rrefs == []
+
+
+def test_helper_ranks_are_computed_once(monkeypatch):
+    scheme = build_low_io_scheme(FieldContext(2, 4), 11, 2).translate(6)
+    _check_helper_ranks_once(monkeypatch, scheme, 36)
+
+
+def test_odd_q_helper_ranks_are_one_packed_elimination_each(monkeypatch):
+    scheme = build_low_io_scheme(FieldContext(3, 3), 23, 1).translate(7)
+    _check_helper_ranks_once(monkeypatch, scheme, 60)
 
 
 def test_dual_values_are_evaluated_on_first_use():

@@ -5,6 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repair_lab.fieldmath import FieldContext, poly_shift
+from repair_lab.linalg import Packing
 from repair_lab import search
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
@@ -226,14 +227,14 @@ def test_tie_heavy_minimum_matches_the_subspace_oracle(monkeypatch, q, ell, r, t
 @pytest.mark.parametrize("ctx,r,star", [(GF4, 3, 2), (GF8, 2, 5), (GF9, 2, 7),
                                         (FieldContext(3, 2, None, [2, 4]), 2, 3)])
 def test_visited_orbits_cover_every_valid_scheme_once(ctx, r, star):
-    pk = search._Packing(ctx.q, r * ctx.ell)
+    pk = Packing(ctx.q, r * ctx.ell)
     visited = [
         (s, counter)
         for s, start, stop in search._slices(ctx.ell, r, ctx.q)
         for counter in range(start, stop)
     ]
     images = Counter(
-        sum(map(pk.unpack, key), ())
+        tuple(x for v in key for x in pk.unpack(v))
         for key in search._orbit_keys(ctx, r, star, visited, pk)
     )
     valid = {
@@ -261,9 +262,9 @@ def test_packed_orbit_keys_match_the_polynomial_oracle(data):
         ),
         min_size=1, max_size=4,
     ))
-    pk = search._Packing(ctx.q, r * ctx.ell)
+    pk = Packing(ctx.q, r * ctx.ell)
     key = min(search._orbit_keys(ctx, r, star, ties, pk))
-    assert sum(map(pk.unpack, key), ()) == min(
+    assert tuple(x for v in key for x in pk.unpack(v)) == min(
         k for tie in ties for k in orbit_keys(ctx, r, star, *tie)
     )
 

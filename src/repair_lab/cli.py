@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .construction import (
     build_low_io_scheme,
@@ -18,7 +19,7 @@ from .construction import (
     largest_valid_s,
     predicted_cost,
 )
-from .fieldmath import FieldContext
+from .fieldmath import FieldContext, field_context
 from .scheme import RepairScheme
 from .search import (
     VerificationError,
@@ -34,9 +35,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _context(args) -> FieldContext:
-    modulus = _parse_int_list(args.modulus) if args.modulus else None
-    basis = _parse_int_list(args.basis) if args.basis else None
-    return FieldContext(args.q, args.ell, modulus, basis)
+    flags = (args.modulus, args.basis)  # None where the flag is absent: the default
+    return field_context(args.q, args.ell, *(_parse_int_list(v) if v else None for v in flags))
 
 
 def _field_flags(sub) -> None:
@@ -46,9 +46,26 @@ def _field_flags(sub) -> None:
     sub.add_argument("--basis", help="working basis as encoded elements, e.g. 1,2,4")
 
 
+def _dumps(v, pad: str = "\n") -> str:
+    """json.dumps(v, indent=2), byte for byte, without its generator machinery: lists,
+    tuples and str-keyed dicts are laid out here, ints and strs written as json writes
+    them, and any other value is left to json.dumps."""
+    inner = pad + "  "
+    if type(v) is int or type(v) is str:
+        return int.__repr__(v) if type(v) is int else encode_basestring_ascii(v)
+    if isinstance(v, (list, tuple)):
+        items, ends = [_dumps(x, inner) for x in v], "[]"
+    elif isinstance(v, dict) and all(type(k) is str for k in v):
+        items = [encode_basestring_ascii(k) + ": " + _dumps(x, inner) for k, x in v.items()]
+        ends = "{}"
+    else:
+        return json.dumps(v, indent=2).replace("\n", pad)  # strings hold no raw newline
+    return ends[0] + inner + ("," + inner).join(items) + pad + ends[1] if items else ends
+
+
 def _emit(args, payload: dict, human) -> None:
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_dumps(payload))
     else:
         human(payload)
 

@@ -85,17 +85,10 @@ def build_low_io_scheme(ctx: FieldContext, k: int, s: int) -> RepairScheme:
 def has_block_shape(scheme: RepairScheme, s: int, i: int) -> bool:
     """Whether helper i's I/O matrix has the construction's block shape:
     diagonal (s+1) x (s+1) top-left, zero bottom-left, identity bottom-right."""
-    w = scheme.io_matrix(i)
-    ell = scheme.ctx.ell
-    for j in range(ell):
-        for t in range(ell):
-            if j < s + 1 and t < s + 1 and j != t and w[j][t]:
-                return False
-            if j >= s + 1 and t < s + 1 and w[j][t]:
-                return False
-            if j >= s + 1 and t >= s + 1 and w[j][t] != (1 if j == t else 0):
-                return False
-    return True
+    w, top = scheme.io_matrix(i), s + 1
+    eye = [[int(j == t) for t in range(len(w))] for j in range(len(w))]
+    off_diagonal = (w[j][t] for j in range(top) for t in range(top) if j != t)
+    return w[top:] == eye[top:] and not any(off_diagonal)
 
 
 def compare_baselines(q: int, ell: int, s: int, k: int) -> dict:

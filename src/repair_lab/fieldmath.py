@@ -27,7 +27,8 @@ Coordinate expansions come in two flavours that are easy to mix up:
 - dual_coords(a): traces of a against the working basis itself, i.e. the
   coefficients of a in the dual basis.
 
-Contexts are immutable after construction and safe to share across threads.
+Contexts are immutable after construction and safe to share across threads;
+field_context() hands equal arguments one shared context.
 
 poly_evaluator(ctx, points) evaluates polynomials at fixed points, all at once
 when q = 2.  The values at the n points are one int of ell planes: bit b*w + j,
@@ -163,6 +164,7 @@ class FieldContext:
         # element -> dual_coords / basis_coords, filled on first use
         self._dual_table: list[tuple[int, ...]] | None = None
         self._basis_table: list[tuple[int, ...]] | None = None
+        self._rows: tuple[list[int], list[str]] | None = None  # dual_rows' tables, on first use
         self._lanes: dict[bool, object] = {}  # coord_planes' element -> lanes, on first use
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
@@ -301,10 +303,7 @@ class FieldContext:
 
     # ---- field operations ---------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.q == 2:
-            return a ^ b
-        return self._add_raw(a, b)
+    add = _add_raw  # XOR at q = 2, digit by digit otherwise
 
     def neg(self, a: int) -> int:
         if self.q == 2:
@@ -399,6 +398,22 @@ class FieldContext:
             table = self._dual_table = self._coord_table(self.basis)
         return table[a]
 
+    def dual_rows(self, values) -> tuple:
+        """(rows, texts) by element: dual_coords(a) packed as one linalg.Packing(q, ell)
+        row, and as fixed-width binary text.  Tabulated fields build both for every
+        element on first use, one B-linear table; others for each distinct value."""
+        if self._rows is None:
+            pk = linalg.Packing(self.q, self.ell)
+            spec = f"0{self.ell * pk.b}b"
+            if self._exp is None:
+                rows = {a: pk.pack(self.dual_coords(a)) for a in set(values)}
+                return rows, {a: format(v, spec) for a, v in rows.items()}
+            rows = self._linear_table(
+                [pk.pack([self.trace(self.mul(self.q**j, e)) for e in self.basis])
+                 for j in range(self.ell)], pk.add)
+            self._rows = rows, [format(v, spec) for v in rows]
+        return self._rows
+
     def coord_planes(self, values, dual: bool = False) -> list[int]:
         """The coordinates of `values` (basis_coords, or dual_coords if `dual`) in
         packed lanes of w = 8*ceil(ell/8) bits, bit-sliced: value i's lane starts at
@@ -434,6 +449,24 @@ class FieldContext:
 
     def __repr__(self) -> str:
         return f"FieldContext(q={self.q}, ell={self.ell})"
+
+
+_SHARED: dict[tuple, FieldContext] = {}  # field_context's, by arguments and by field
+
+
+def field_context(q, ell, modulus=None, basis=None) -> FieldContext:
+    """FieldContext(q, ell, modulus, basis), shared by equal arguments and by the same
+    field however spelled, so equal fields build their tables once; the store is
+    bounded.  Arguments not all plain ints go to FieldContext alone: it rejects them."""
+    if any(type(x) is not int for x in (q, ell, *(modulus or ()), *(basis or ()))):
+        return FieldContext(q, ell, modulus, basis)
+    key = (q, ell, *(None if v is None else tuple(v) for v in (modulus, basis)))
+    if key not in _SHARED:
+        ctx = FieldContext(*key)
+        _SHARED[key] = _SHARED.setdefault((q, ell, ctx.modulus, ctx.basis), ctx)
+        while len(_SHARED) > 16:  # at most two keys per field; the oldest go first
+            del _SHARED[next(iter(_SHARED))]
+    return _SHARED[key]
 
 
 # ---- vectors over the subfield ------------------------------------------------

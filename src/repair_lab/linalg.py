@@ -51,6 +51,10 @@ class Packing:
         s = x + y
         return s - (((s + self.over) & self.high) >> (self.b - 1)) * self.q
 
+    def nonzero(self, v: int) -> int:
+        """The high bit of every nonzero field of v: v itself when q = 2."""
+        return (v + self.high - self.ones) & self.high
+
     def scale(self, v: int, g: int) -> int:
         """g * v for 0 <= g < q, by doubling."""
         out = v if g & 1 else 0

@@ -7,18 +7,19 @@ every node whose rows are the dual-basis coordinate vectors of the dual codeword
 values there.  Repairing reads, at helper i, exactly the subsymbols under the
 nonzero columns of that matrix:
 
-- bandwidth (subsymbols transmitted) sums the matrix ranks over the helpers.  A row
-  of node i's matrix depends only on the value g_j(alpha_i), so each distinct value's
-  row is packed once (linalg.Packing), and each helper's rank is one run of linalg's
-  packed elimination on its ell rows, for every q;
+- bandwidth (subsymbols transmitted) sums the matrix ranks over the helpers;
 - I/O cost (subsymbols read) sums the nonzero-column counts over the helpers.
 
 The I/O cost is also computed by a second, independent route: the total Hamming
 weight of the row space of all per-node matrices stacked side by side, divided by
 q^(ell-1) * (q-1), minus ell.  Keeping both routes separate is the point of this
-module; nothing may shortcut one through the other.  Both start from the same
-coordinate expansion, computed once per scheme on first use: the direct route
-reads its per-node nonzero columns, the formula route only the stacked matrix.
+module; nothing may shortcut one through the other.
+
+Both read one packed I/O table (_table), built once per scheme on first use from
+FieldContext.dual_rows: the ell stacked rows, every node's ell rows (its rank is one
+linalg.echelon run) and every node's read columns, the nonzero fields of the OR of
+its rows.  The direct route reads those columns; the formula route only the stacked
+rows: their rank by echelon and the count of their nonzero fields.
 
 Repair runs on bit-sliced packed lanes (FieldContext.coord_planes): plane R_{j,b}
 holds bit b of row j of the I/O matrices, one lane per node (the failed node's is
@@ -34,14 +35,13 @@ at zero for full-length codes).
 from __future__ import annotations
 
 from functools import cached_property, reduce
-from itertools import chain, compress
+from itertools import chain
 from operator import or_
 
 from . import linalg
 from .fieldmath import (
-    FieldContext,
     _is_int,
-    coset_weight,
+    field_context,
     poly_deg,
     poly_eval,
     poly_eval_lanes,
@@ -107,29 +107,30 @@ class RepairScheme:
     # ---- per-node I/O matrices -------------------------------------------------
 
     @cached_property
-    def _table(self) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-        # Done once: the stacked ell x n*ell coordinate matrix (node i's I/O matrix
-        # in columns (i-1)*ell .. i*ell - 1) and each node's nonzero columns, 0-based.
-        ell, dual_coords = self.ctx.ell, self.ctx.dual_coords
-        stacked = [tuple(chain.from_iterable(map(dual_coords, ev))) for ev in self.evals]
-        nonzero = map(any, zip(*stacked))  # one flag per column, cut ell at a time
-        return stacked, [tuple(compress(range(ell), node)) for node in zip(*[nonzero] * ell)]
+    def _table(self) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
+        # the packed I/O table (module docstring): stacked rows, node rows, read columns
+        ell, pk = self.ctx.ell, linalg.Packing(self.ctx.q, self.ctx.ell)
+        rows, texts = self.ctx.dual_rows(chain.from_iterable(self.evals))
+        stacked = [int("".join(map(texts.__getitem__, ev)), 2) for ev in self.evals]
+        nodes = list(zip(*(map(rows.__getitem__, ev) for ev in self.evals)))
+        masks = [pk.nonzero(reduce(or_, r)) for r in nodes]  # column t: bit (ell-t+1)*b - 1
+        cols = {m: tuple(t for t in range(1, ell + 1) if m >> (ell - t + 1) * pk.b - 1 & 1)
+                for m in set(masks)}
+        return stacked, nodes, [cols[m] for m in masks]
 
     def io_matrix(self, i: int) -> list[list[int]]:
         """ell x ell matrix over B at node i: row j holds the dual-basis
         coordinates of the j-th dual codeword's value there."""
         self._check_node(i)
-        ell = self.ctx.ell
-        stacked, _ = self._table
-        return [list(row[(i - 1) * ell : i * ell]) for row in stacked]
+        pk = linalg.Packing(self.ctx.q, self.ctx.ell)
+        return [pk.unpack(row) for row in self._table[1][i - 1]]
 
     def accessed_subsymbols(self, i: int) -> list[int]:
         """1-based indices of the subsymbols repair reads at helper i."""
         self._check_node(i)
         if i == self.star:
             raise ValueError("the failed node is not read")
-        _, columns = self._table
-        return [c + 1 for c in columns[i - 1]]
+        return list(self._table[2][i - 1])
 
     def helpers(self) -> list[int]:
         return [i for i in range(1, self.code.n + 1) if i != self.star]
@@ -137,10 +138,8 @@ class RepairScheme:
     @cached_property
     def _ranks(self) -> list[int]:
         # every helper's I/O matrix rank, in helpers() order (module docstring)
-        ctx, pk = self.ctx, linalg.Packing(self.ctx.q, self.ctx.ell)
-        row = {a: pk.pack(ctx.dual_coords(a)) for a in set(chain.from_iterable(self.evals))}
-        rows = zip(*(map(row.__getitem__, ev) for ev in self.evals))  # per node, its ell rows
-        return [len(linalg.echelon(pk, r)) for i, r in enumerate(rows, 1) if i != self.star]
+        pk, star = linalg.Packing(self.ctx.q, self.ctx.ell), self.star
+        return [len(linalg.echelon(pk, r)) for i, r in enumerate(self._table[1], 1) if i != star]
 
     def bandwidth(self) -> int:
         """Subsymbols transmitted: sum of I/O matrix ranks over the helpers."""
@@ -148,31 +147,33 @@ class RepairScheme:
 
     def io_cost_direct(self) -> int:
         """Subsymbols read: sum of nonzero-column counts over the helpers."""
-        _, columns = self._table
-        return sum(len(columns[i - 1]) for i in self.helpers())
+        columns = self._table[2]
+        return sum(map(len, columns)) - len(columns[self.star - 1])
 
     # ---- the weight-formula route ----------------------------------------------
 
     def stacked_io_matrix(self) -> list[list[int]]:
         """All per-node matrices side by side: ell rows, n*ell columns over B.
         Row j is the full subsymbol-coordinate vector of the j-th dual codeword."""
-        stacked, _ = self._table
-        return [list(row) for row in stacked]
+        pk = linalg.Packing(self.ctx.q, self.code.n * self.ctx.ell)
+        return [pk.unpack(row) for row in self._table[0]]
 
     def io_cost_formula(self) -> int:
-        """I/O cost via the row-space weight of the stacked matrix.
-
-        total weight / (q^(ell-1) * (q-1)) counts the nonzero columns; the
-        failed node always contributes exactly ell of them.  The division must
-        be exact — a remainder means the implementation is inconsistent."""
+        """I/O cost via the row-space weight of the stacked matrix, from its packed
+        rows alone: k independent rows with s nonzero columns weigh s * q^(k-1) * (q-1)
+        in all, so the weight / (q^(ell-1) * (q-1)) counts the nonzero columns; the
+        failed node always contributes exactly ell of them.  The division must be
+        exact — a remainder means the implementation is inconsistent."""
         self.require_valid()
-        q, ell = self.ctx.q, self.ctx.ell
-        _, total = coset_weight(self._table[0], None, q)
+        q, ell, stacked = self.ctx.q, self.ctx.ell, self._table[0]
+        pk = linalg.Packing(q, self.code.n * ell)
+        k = len(linalg.echelon(pk, stacked))
+        if k != len(stacked):
+            raise ValueError("rows are not linearly independent")
+        total = pk.nonzero(reduce(or_, stacked)).bit_count() * q ** (k - 1) * (q - 1)
         denom = q ** (ell - 1) * (q - 1)
         if total % denom:
-            raise ArithmeticError(
-                f"row-space weight {total} not divisible by {denom}"
-            )
+            raise ArithmeticError(f"row-space weight {total} not divisible by {denom}")
         return total // denom - ell
 
     # ---- repair ------------------------------------------------------------------
@@ -183,22 +184,17 @@ class RepairScheme:
         # the inverse of the failed node's I/O matrix, read in the working basis.
         ctx = self.ctx
         inv = linalg.inverse(self.io_matrix(self.star), ctx.q)
-        return [
-            ctx.from_basis_coords(inv[t][j] for t in range(ctx.ell))
-            for j in range(ctx.ell)
-        ]
+        return [ctx.from_basis_coords(row[j] for row in inv) for j in range(ctx.ell)]
 
     @cached_property
     def _lanes(self) -> tuple[list[tuple[int, int, int]], int, dict[int, tuple]]:
         # the packed repair's per-scheme data (module docstring): each plane
         # R_{j,b} as (j, b, R), the read mask M, and each read helper's columns
-        star, columns = self.star, self._table[1]
+        star, columns = self.star, self._table[2]
         zeroed = [ev[: star - 1] + (0,) + ev[star:] for ev in self.evals]  # failed lane: 0
-        planes = [
-            (j, b, plane) for j, ev in enumerate(zeroed)
-            for b, plane in enumerate(self.ctx.coord_planes(ev, dual=True))
-        ]
-        reads = {i: tuple(c + 1 for c in columns[i - 1]) for i in self.helpers() if columns[i - 1]}
+        planes = [(j, b, plane) for j, ev in enumerate(zeroed)
+                  for b, plane in enumerate(self.ctx.coord_planes(ev, dual=True))]
+        reads = {i: cols for i, cols in enumerate(columns, 1) if cols and i != star}
         return planes, reduce(or_, [plane for *_, plane in planes], 0), reads
 
     def repair_transcript(self, symbols) -> tuple[int, dict[int, list[int]]]:
@@ -246,8 +242,7 @@ class RepairScheme:
         if self.star != 1:
             raise ValueError("translation starts from a scheme for node 1")
         self._check_node(target)
-        alpha = self.code.eval_points[target - 1]
-        shift = self.ctx.neg(alpha)
+        shift = self.ctx.neg(self.code.eval_points[target - 1])
         duals = [poly_shift(self.ctx, g, shift) for g in self.duals]
         return RepairScheme(self.code, target, duals)
 
@@ -257,9 +252,9 @@ class RepairScheme:
         """Everything one repair costs: per-helper matrix summaries plus the
         totals by both routes.  `per_node` rows are dicts {"i", "rank", "nz",
         "cols"} with 1-based node and column indices, helpers only."""
-        per_node, columns = [], self._table[1]
+        per_node, columns = [], self._table[2]
         for i, rank in zip(self.helpers(), self._ranks):
-            cols = [c + 1 for c in columns[i - 1]]
+            cols = list(columns[i - 1])
             per_node.append({"i": i, "rank": rank, "nz": len(cols), "cols": cols})
         return {
             "q": self.ctx.q,
@@ -307,9 +302,7 @@ class RepairScheme:
         duals = data.get("duals")
         if not isinstance(duals, list) or not all(is_int_list(g) for g in duals):
             raise ValueError("scheme field 'duals' must be a list of integer lists")
-        ctx = FieldContext(
-            data["q"], data["ell"], data.get("modulus"), data.get("basis")
-        )
+        ctx = field_context(data["q"], data["ell"], data.get("modulus"), data.get("basis"))
         n = data.get("n", ctx.order)
         if not _is_int(n) or n != ctx.order:
             raise ValueError(f"scheme field 'n' must be q^ell = {ctx.order}, got {n!r}")

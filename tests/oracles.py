@@ -240,8 +240,9 @@ def io_matrix_oracle(scheme: RepairScheme, i: int) -> list[list[int]]:
 
 def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int, list[int]]]:
     """The per-helper trace repair the library ran before its packed lanes: a
-    loop over every helper, I/O matrix row and read column, on the scheme's
-    coordinate table."""
+    loop over every helper, I/O matrix row and read column.  Every matrix comes
+    from io_matrix_oracle and the failed node's inverse from the list rref, so
+    nothing is read from the scheme's own tables."""
     self.require_valid()
     ctx, n, q, ell = self.ctx, self.code.n, self.ctx.q, self.ctx.ell
     symbols = list(symbols)
@@ -249,23 +250,26 @@ def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int
         raise ValueError(f"expected {n} symbols, got {len(symbols)}")
     if symbols[self.star - 1] is not None:
         raise ValueError(f"node {self.star} must be erased (None)")
-    stacked, columns = self._table
     reads: dict[int, list[int]] = {}
     totals = [0] * ell
     for i in self.helpers():
         if symbols[i - 1] is None:
             raise ValueError(f"helper {i} is erased; only node {self.star} may be")
-        cols = columns[i - 1]
+        w = io_matrix_oracle(self, i)
+        cols = [t for t in range(ell) if any(row[t] for row in w)]
         if not cols:
             continue
         stored = ctx.basis_coords(symbols[i - 1])
         reads[i] = [c + 1 for c in cols]
-        base = (i - 1) * ell
         for j in range(ell):
-            row = stacked[j]
-            totals[j] += sum(row[base + t] * stored[t] for t in cols)
+            totals[j] += sum(w[j][t] * stored[t] for t in cols)
+    # mu_j with Tr(g_j(alpha_star) * mu_j') = 1 iff j == j': the columns of the
+    # inverse of the failed node's I/O matrix, read in the working basis
+    w = io_matrix_oracle(self, self.star)
+    red, _ = rref([row + [int(t == j) for j in range(ell)] for t, row in enumerate(w)], q)
     value = 0
-    for j, mu in enumerate(self._recon):
+    for j in range(ell):
+        mu = ctx.from_basis_coords(row[ell + j] for row in red)
         value = ctx.add(value, ctx.mul((-totals[j]) % q, mu))
     return value, reads
 

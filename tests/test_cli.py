@@ -5,8 +5,10 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repair_lab import cli
+from repair_lab import cli, fieldmath
 from repair_lab.scheme import RepairScheme
 from repair_lab.search import VerificationError
 
@@ -529,3 +531,48 @@ def test_field_info_answers_for_a_huge_q(extra, code, message):
     else:
         assert proc.stderr.startswith("error: ") and message in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+
+# ---- the JSON writer ---------------------------------------------------------------
+
+_KEYS = st.text() | st.sampled_from(['', '"', "\\", "\n", "\x00\x1f", "\u00e9t\u00e9", "\u2028", "\U0001f600", "a/b"])
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+    | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300]) | _KEYS
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.tuples(inner, inner) | st.just(())
+    | st.dictionaries(_KEYS, inner, max_size=5) | st.dictionaries(st.integers(), inner, max_size=3),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_VALUES)
+def test_writer_matches_json_dumps_byte_for_byte(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+def test_json_output_is_what_json_dumps_writes(capsys):
+    # every --json payload goes through the writer; this one nests every shape
+    code, out, _ = _run(capsys, "--json", "repair-demo", "--q", "3", "--ell", "2", "--k", "5", "--node", "4")
+    assert code == 0 and out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+# ---- shared field contexts -----------------------------------------------------------
+
+
+def test_cli_and_from_dict_share_the_field_context(capsys, monkeypatch):
+    monkeypatch.setattr(fieldmath, "_SHARED", {})
+    field = ["--q", "2", "--ell", "4", "--basis", "3,2,4,8"]
+    payload = _run_json(capsys, "construct", *field, "--k", "13", "--node", "5")
+    ctx = cli._context(cli._parser().parse_args(["field-info", *field]))
+    assert RepairScheme.from_dict(payload["scheme"]).ctx is ctx
+    assert cli._context(cli._parser().parse_args(["field-info", *field[:4]])) is not ctx
+    # a malformed field still exits 2, every time, and is never kept
+    before = dict(fieldmath._SHARED)
+    for _ in range(2):
+        code, out, err = _run(capsys, "field-info", *field[:4], "--modulus", "1,0,1,0,1")
+        assert (code, out) == (2, "") and "not irreducible" in err
+    assert fieldmath._SHARED == before

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repair_lab import fieldmath, linalg
 from repair_lab.fieldmath import (
     _BLOCK,
     _PLANE_BUDGET,
@@ -13,6 +14,7 @@ from repair_lab.fieldmath import (
     _default_modulus,
     _is_prime,
     coset_weight,
+    field_context,
     poly_deg,
     poly_eval,
     poly_eval_lanes,
@@ -346,6 +348,14 @@ def test_tables_match_the_element_by_element_builders(ctx):
         assert fresh.dual_coords(a) == coords_oracle(ctx, trace, a, ctx.basis)
         assert fresh.basis_coords(a) == coords_oracle(ctx, trace, a, ctx.dual_basis)
     assert len(fresh._dual_table) == len(fresh._basis_table) == ctx.order
+    # the packed rows: one B-linear table, built on first use
+    assert fresh._rows is None
+    pk = linalg.Packing(ctx.q, ctx.ell)
+    rows, texts = fresh.dual_rows(())
+    assert fresh.dual_rows(()) is fresh._rows
+    for a in range(ctx.order):
+        row = pk.pack(coords_oracle(ctx, trace, a, ctx.basis))
+        assert rows[a] == row and texts[a] == format(row, f"0{ctx.ell * pk.b}b")
 
 
 def test_large_field_without_tables():
@@ -365,6 +375,14 @@ def test_large_field_without_tables():
         ctx.trace(ctx.mul(ctx.basis[2], b)) for b in ctx.basis
     )
     assert ctx._dual_table is None and ctx._basis_table is None
+    # packed rows are computed for the values asked for, and kept nowhere
+    pk, values = linalg.Packing(5, 8), [0, 1, 2, 390624, 77777, 1]
+    rows, texts = ctx.dual_rows(values)
+    assert sorted(rows) == sorted(texts) == sorted(set(values))
+    for a in values:
+        assert pk.unpack(rows[a]) == list(ctx.dual_coords(a))
+        assert int(texts[a], 2) == rows[a] and len(texts[a]) == 8 * pk.b
+    assert ctx._rows is None
 
 
 @pytest.mark.parametrize("q, ell", [(2, 17), (5, 7)])
@@ -378,6 +396,61 @@ def test_table_free_trace_is_the_frobenius_orbit_sum(q, ell):
         for _ in range(ell):
             orbit, b = ctx.add(orbit, b), ctx._pow_raw(b, q)
         assert ctx.trace(a) == orbit
+
+
+# ---- shared contexts ---------------------------------------------------------------
+
+
+@pytest.fixture
+def shared(monkeypatch):
+    # an empty store of shared contexts for one test, whatever ran before it
+    store = {}
+    monkeypatch.setattr(fieldmath, "_SHARED", store)
+    return store
+
+
+def test_equal_fields_share_one_context(shared):
+    ctx = field_context(2, 3)
+    assert field_context(2, 3) is ctx
+    # the same field spelled out, as RepairScheme.to_dict writes it
+    assert field_context(2, 3, [1, 1, 0, 1], (1, 2, 4)) is ctx
+    assert field_context(2, 3, (1, 1, 0, 1)) is ctx and field_context(2, 3, None, [1, 2, 4]) is ctx
+    assert (ctx.modulus, ctx.basis) == ((1, 1, 0, 1), (1, 2, 4))
+    # a different basis or modulus is a different context
+    basis, modulus = field_context(2, 3, None, [1, 2, 6]), field_context(2, 3, [1, 0, 1, 1])
+    assert len({id(ctx), id(basis), id(modulus)}) == 3
+    assert basis.basis == (1, 2, 6) and modulus.modulus == (1, 0, 1, 1)
+    assert field_context(2, 3, [1, 0, 1, 1], [1, 2, 4]) is modulus
+    # direct construction stays fresh
+    assert FieldContext(2, 3) is not ctx
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (4, 2), (2, 0), (2, True), (2.0, 3), (True, 3), (2, 3, [1, 1, 0, 0]),
+        (2, 3, [1, True, 0, 1]), (2, 3, [1, 1.0, 0, 1]), (2, 3, [1, 1, 1]),
+        (2, 3, None, [1, 2, 2]), (2, 3, None, [1, 2, True]), (2, 3, None, [1, 2, 8]),
+        (2, 10**9, [0, 1]),
+    ],
+)
+def test_malformed_fields_raise_and_are_never_kept(shared, args):
+    # their well-formed neighbours are shared first, so no lookup may serve them
+    for good in [(2, 1), (2, 2), (2, 3), (2, 3, [1, 1, 0, 1]), (2, 3, None, [1, 2, 4])]:
+        field_context(*good)
+    before = dict(shared)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            field_context(*args)
+    assert shared == before
+
+
+def test_shared_contexts_are_bounded(shared):
+    first = field_context(2, 1)
+    others = [field_context(2, ell) for ell in range(2, 12)]
+    assert len(shared) <= 16
+    assert field_context(2, 1) is not first  # dropped, oldest first, and rebuilt
+    assert field_context(2, 11) is others[-1]
 
 
 # ---- subfield vectors and coset weight ------------------------------------------

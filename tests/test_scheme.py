@@ -173,7 +173,7 @@ def _check_helper_ranks_once(monkeypatch, scheme, bandwidth):
 
     def counting_echelon(pk, rows):
         rows = list(rows)
-        sizes.append(len(rows))
+        sizes.append((len(rows), pk.width))
         return echelon(pk, rows)
 
     def counting_rank(rows, p):
@@ -189,17 +189,18 @@ def _check_helper_ranks_once(monkeypatch, scheme, bandwidth):
     monkeypatch.setattr(linalg, "rank", counting_rank)
     monkeypatch.setattr(linalg, "rref", counting_rref)
     assert scheme.bandwidth() == bandwidth
-    # one elimination per helper, on its ell dual codeword values, and no list rref
-    assert sizes == [ell] * (n - 1)
+    # one elimination per helper, on its ell packed rows, and no list rref
+    assert sizes == [(ell, ell)] * (n - 1)
     assert shapes == rrefs == []
     del sizes[:]
     assert scheme.bandwidth() == bandwidth
     assert sizes == []
     report = scheme.cost_report()
     assert report["bandwidth"] == report["io_cost"] == bandwidth
-    # only validate() at the failed node and the formula route's stacked matrix
-    assert sorted(shapes) == [(ell, ell), (ell, n * ell)]
-    assert sizes == [ell, ell]
+    # only validate()'s ell x ell rank at the failed node, and the formula route's
+    # one elimination of the ell packed stacked rows
+    assert shapes == [(ell, ell)]
+    assert sizes == [(ell, ell), (ell, n * ell)]
     assert rrefs == []
 
 
@@ -317,6 +318,21 @@ def test_rowspace_weight_matches_enumeration():
             total += sum(1 for x in v if x)
         assert total == coset_weight(stacked, None, q)[1]
         assert scheme.io_cost_formula() == total // (q ** (ell - 1) * (q - 1)) - ell
+
+
+def test_formula_reads_only_the_stacked_rows():
+    # the formula route ignores every node's rows and read columns; the direct
+    # route reads nothing else
+    for scheme in [*_random_valid_schemes(GF8, 2, 3, seed=26), *_random_valid_schemes(GF9, 3, 3, seed=26)]:
+        stacked, nodes, columns = scheme._table
+        cost = scheme.io_cost_direct()
+        scheme._table = (stacked, [(0,) * scheme.ctx.ell] * len(nodes), [(1,)] * len(columns))
+        assert scheme.io_cost_formula() == cost
+        assert scheme.io_cost_direct() == scheme.code.n - 1 != cost
+        scheme._table = ([0] * len(stacked), nodes, columns)
+        assert scheme.io_cost_direct() == cost
+        with pytest.raises(ValueError, match="independent"):
+            scheme.io_cost_formula()
 
 
 def test_formula_requires_a_valid_scheme():
@@ -518,7 +534,10 @@ def test_repair_returns_fresh_read_lists():
     assert scheme.repair_transcript(word) == (erased, expected)
 
 
-def test_costing_builds_no_repair_tables():
+def test_costing_builds_no_repair_tables(monkeypatch):
+    from repair_lab import fieldmath
+
+    monkeypatch.setattr(fieldmath, "_SHARED", {})  # from_dict's context: unshared so far
     ctx = FieldContext(2, 4)
     scheme = build_low_io_scheme(ctx, 13, 1).translate(5)
     copy = RepairScheme.from_dict(json.loads(json.dumps(scheme.to_dict())))

@@ -27,6 +27,9 @@ Coordinate expansions come in two flavours that are easy to mix up:
 - dual_coords(a): traces of a against the working basis itself, i.e. the
   coefficients of a in the dual basis.
 
+coord_rows(values, dual) packs either flavour as one linalg.Packing(q, ell) row and
+its binary text, the one row format of the scheme's I/O table and of its repair.
+
 Contexts are immutable after construction and safe to share across threads;
 field_context() hands equal arguments one shared context.
 
@@ -42,9 +45,9 @@ read, so it serves every GF(2^ell), with or without tables, and any points.
 """
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate
-from operator import lshift, mul, xor
+from operator import mul, xor
 
 from . import linalg
 
@@ -164,8 +167,7 @@ class FieldContext:
         # element -> dual_coords / basis_coords, filled on first use
         self._dual_table: list[tuple[int, ...]] | None = None
         self._basis_table: list[tuple[int, ...]] | None = None
-        self._rows: tuple[list[int], list[str]] | None = None  # dual_rows' tables, on first use
-        self._lanes: dict[bool, object] = {}  # coord_planes' element -> lanes, on first use
+        self._rows: dict[bool, tuple[list[int], list[str]]] = {}  # coord_rows', by flavour
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         else:
@@ -398,43 +400,23 @@ class FieldContext:
             table = self._dual_table = self._coord_table(self.basis)
         return table[a]
 
-    def dual_rows(self, values) -> tuple:
-        """(rows, texts) by element: dual_coords(a) packed as one linalg.Packing(q, ell)
-        row, and as fixed-width binary text.  Tabulated fields build both for every
-        element on first use, one B-linear table; others for each distinct value."""
-        if self._rows is None:
-            pk = linalg.Packing(self.q, self.ell)
+    def coord_rows(self, values, dual: bool = False) -> tuple:
+        """(rows, texts) by element: basis_coords(a), or dual_coords(a) if `dual`, as one
+        linalg.Packing(q, ell) row and as fixed-width binary text; tabulated fields build
+        both for every element on first use, one B-linear table per flavour."""
+        if dual not in self._rows:
+            pk, against = linalg.Packing(self.q, self.ell), self.basis if dual else self.dual_basis
             spec = f"0{self.ell * pk.b}b"
-            if self._exp is None:
-                rows = {a: pk.pack(self.dual_coords(a)) for a in set(values)}
+
+            def row(a):  # (Tr(a * e) for e in against), packed
+                return pk.pack([self.trace(self.mul(a, e)) for e in against])
+
+            if self._exp is None:  # a row per distinct value
+                rows = {a: row(a) for a in set(values)}
                 return rows, {a: format(v, spec) for a, v in rows.items()}
-            rows = self._linear_table(
-                [pk.pack([self.trace(self.mul(self.q**j, e)) for e in self.basis])
-                 for j in range(self.ell)], pk.add)
-            self._rows = rows, [format(v, spec) for v in rows]
-        return self._rows
-
-    def coord_planes(self, values, dual: bool = False) -> list[int]:
-        """The coordinates of `values` (basis_coords, or dual_coords if `dual`) in
-        packed lanes of w = 8*ceil(ell/8) bits, bit-sliced: value i's lane starts at
-        bit i*depth*w of every plane, and bit t of its lane in plane b, for b < depth
-        = (q-1).bit_length(), is bit b of its coordinate t.  Each element's lanes are
-        tabulated once per context where the coordinate tables exist."""
-        w, depth = (self.ell + 7) // 8, (self.q - 1).bit_length()
-        lanes = self._lanes.get(dual)
-        if lanes is None:
-            coords, sep = (self.dual_coords if dual else self.basis_coords), "0" * (8 * w - 1)
-            spread = lru_cache(_TABLE_LIMIT)(lambda c: int(sep.join(f"{c:b}"), 2))  # bit b -> b*8w
-
-            def lanes_of(a):  # a's depth lanes side by side, as bytes
-                lanes = sum(map(lshift, map(spread, coords(a)), range(self.ell)))
-                return lanes.to_bytes(depth * w, "little")
-
-            table = self._exp is not None and list(map(lanes_of, range(self.order)))
-            lanes = self._lanes[dual] = table.__getitem__ if table else lanes_of
-        packed = int.from_bytes(b"".join(map(lanes, values)), "little")
-        low = int.from_bytes((b"\xff" * w + bytes((depth - 1) * w)) * len(values), "little")
-        return [(packed >> 8 * w * b) & low for b in range(depth)]
+            rows = self._linear_table([row(self.q**j) for j in range(self.ell)], pk.add)
+            self._rows[dual] = rows, [format(v, spec) for v in rows]
+        return self._rows[dual]
 
     def from_basis_coords(self, coords) -> int:
         a = 0

@@ -9,7 +9,7 @@ the fieldmath.poly_evaluator its first encode builds, power-plane tables include
 from __future__ import annotations
 
 import random
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .fieldmath import FieldContext, poly_deg, poly_evaluator
 
@@ -57,6 +57,14 @@ class RSCode:
     @cached_property
     def _evaluate(self):
         return poly_evaluator(self.ctx, self.eval_points)
+
+    @cached_property
+    def dual_multipliers(self) -> tuple[int, ...]:
+        """v_i = prod_{j != i} (alpha_i - alpha_j)^-1, in O(n^2): the dual code is
+        {(v_i * g(alpha_i))_i : deg g < n - k} (MacWilliams-Sloane, ch. 10)."""
+        ctx, points = self.ctx, self.eval_points
+        return tuple(ctx.inv(reduce(ctx.mul, [ctx.sub(a, b) for b in points if b != a], 1))
+                     for a in points)
 
     def random_message(self, seed: int) -> list[int]:
         rng = random.Random(seed)

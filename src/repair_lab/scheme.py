@@ -16,17 +16,18 @@ q^(ell-1) * (q-1), minus ell.  Keeping both routes separate is the point of this
 module; nothing may shortcut one through the other.
 
 Both read one packed I/O table (_table), built once per scheme on first use from
-FieldContext.dual_rows: the ell stacked rows, every node's ell rows (its rank is one
+FieldContext.coord_rows: the ell stacked rows, every node's ell rows (its rank is one
 linalg.echelon run) and every node's read columns, the nonzero fields of the OR of
 its rows.  The direct route reads those columns; the formula route only the stacked
 rows: their rank by echelon and the count of their nonzero fields.
 
-Repair runs on bit-sliced packed lanes (FieldContext.coord_planes): plane R_{j,b}
-holds bit b of row j of the I/O matrices, one lane per node (the failed node's is
-zero), the read mask M is their union, and per call S_b holds bit b of the helpers'
-stored subsymbols, masked by M, so the value depends only on the reads reported.
-The trace repair's sum of row_j * stored over the read positions is then
-sum_{b,b'} 2^(b+b') * popcount(R_{j,b} & S_b') mod q: one popcount per row at q = 2.
+Repair reads the stacked rows too.  With the failed node's fields cleared, row j
+splits into bit planes R_{j,b} = (row_j >> b) & ones, b < bitlen(q - 1), and the read
+mask M is every whole field where their OR is nonzero.  Per call S joins the helpers'
+basis-coordinate rows alike, masked by M (so only the reported reads count), and the
+trace repair's sum of row_j * stored is sum_{b,b'} 2^(b+b') * popcount(R_{j,b} &
+(S >> b')) mod q: one popcount per row at q = 2.  On a punctured code dual codeword g
+is v_i * g(alpha_i) at node i (RSCode.dual_multipliers); at full length v_i = -1.
 
 Node indices, subsymbol indices, and dual-codeword indices are 1-based in every
 public interface, matching the storage convention (node 1 holds the evaluation
@@ -70,9 +71,12 @@ class RepairScheme:
 
     @cached_property
     def evals(self) -> list[tuple[int, ...]]:
-        """Every dual codeword's values at every node, computed on first use."""
-        points = self.code.eval_points
-        return [tuple(poly_eval_lanes(self.ctx, g, points)) for g in self.duals]
+        """Every dual codeword's values at every node (module docstring), on first use."""
+        ctx, code = self.ctx, self.code
+        evals = [poly_eval_lanes(ctx, g, code.eval_points) for g in self.duals]
+        if not code.is_full_length:  # at full length every multiplier is -1: skipped
+            evals = [map(ctx.mul, ev, code.dual_multipliers) for ev in evals]
+        return [tuple(ev) for ev in evals]
 
     def _check_node(self, i: int) -> None:
         if not _is_int(i) or not 1 <= i <= self.code.n:
@@ -110,7 +114,7 @@ class RepairScheme:
     def _table(self) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
         # the packed I/O table (module docstring): stacked rows, node rows, read columns
         ell, pk = self.ctx.ell, linalg.Packing(self.ctx.q, self.ctx.ell)
-        rows, texts = self.ctx.dual_rows(chain.from_iterable(self.evals))
+        rows, texts = self.ctx.coord_rows(chain.from_iterable(self.evals), dual=True)
         stacked = [int("".join(map(texts.__getitem__, ev)), 2) for ev in self.evals]
         nodes = list(zip(*(map(rows.__getitem__, ev) for ev in self.evals)))
         masks = [pk.nonzero(reduce(or_, r)) for r in nodes]  # column t: bit (ell-t+1)*b - 1
@@ -187,15 +191,18 @@ class RepairScheme:
         return [ctx.from_basis_coords(row[j] for row in inv) for j in range(ctx.ell)]
 
     @cached_property
-    def _lanes(self) -> tuple[list[tuple[int, int, int]], int, dict[int, tuple]]:
+    def _planes(self) -> tuple[list[tuple[int, int, int]], int, dict[int, tuple]]:
         # the packed repair's per-scheme data (module docstring): each plane
         # R_{j,b} as (j, b, R), the read mask M, and each read helper's columns
-        star, columns = self.star, self._table[2]
-        zeroed = [ev[: star - 1] + (0,) + ev[star:] for ev in self.evals]  # failed lane: 0
-        planes = [(j, b, plane) for j, ev in enumerate(zeroed)
-                  for b, plane in enumerate(self.ctx.coord_planes(ev, dual=True))]
+        ell, n, star, columns = self.ctx.ell, self.code.n, self.star, self._table[2]
+        pk = linalg.Packing(self.ctx.q, n * ell)
+        failed = ((1 << ell * pk.b) - 1) << (n - star) * ell * pk.b
+        rows = [row & ~failed for row in self._table[0]]
+        planes = [(j, b, row >> b & pk.ones) for j, row in enumerate(rows)
+                  for b in range((self.ctx.q - 1).bit_length())]
+        mask = (pk.nonzero(reduce(or_, rows)) >> pk.b - 1) * pk.mask  # whole read fields
         reads = {i: cols for i, cols in enumerate(columns, 1) if cols and i != star}
-        return planes, reduce(or_, [plane for *_, plane in planes], 0), reads
+        return planes, mask, reads
 
     def repair_transcript(self, symbols) -> tuple[int, dict[int, list[int]]]:
         """Repair the erased symbol, returning (value, subsymbols read per helper).
@@ -219,9 +226,11 @@ class RepairScheme:
                     raise ValueError(f"helper {i} is erased; only node {star} may be")
                 if not _is_int(a) or not 0 <= a < ctx.order:
                     raise ValueError(f"helper {i} holds {a!r}, not a field element")
-        planes, mask, reads = self._lanes
-        symbols[star - 1] = 0  # basis_coords(0) = 0: the failed lane of every S_b is zero
-        stored = [s & mask for s in ctx.coord_planes(symbols)]
+        planes, mask, reads = self._planes
+        symbols[star - 1] = 0  # basis_coords(0) = 0: the failed node's fields of S are zero
+        texts = ctx.coord_rows(symbols)[1]
+        packed = int("".join(map(texts.__getitem__, symbols)), 2) & mask  # S
+        stored = [packed >> b for b in range((q - 1).bit_length())]  # S >> b', read at R's bits
         totals = [0] * ctx.ell
         for j, shift, plane in planes:
             for b, s in enumerate(stored):

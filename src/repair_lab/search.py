@@ -38,7 +38,6 @@ at interactive scale.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
 from itertools import accumulate, repeat
 from operator import or_
@@ -314,6 +313,8 @@ def min_io_exhaustive(
     items = _slices(ell, r, q)
     workers = _resolve_workers(workers, expected)
     if workers > 1 and expected >= _PARALLEL_THRESHOLD:
+        from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
+
         loads = _split(items, workers)
         with ProcessPoolExecutor(max_workers=len(loads)) as pool:
             results = list(pool.map(_scan, repeat(ctx), repeat(r), repeat(star), loads))

@@ -106,19 +106,23 @@ def field_tables_oracle(ctx: FieldContext) -> tuple[list[int], list[int], list[i
         log[acc] = i
         acc = ctx._mul_raw(acc, g)
     assert acc == 1, "g is not primitive"
-    trace = []
-    for a in range(ctx.order):
-        t, b = a, a
-        for _ in range(ctx.ell - 1):
-            b = ctx._pow_raw(b, ctx.q)
-            t = ctx._add_raw(t, b)
-        trace.append(t)
-    return exp, log, trace
+    return exp, log, [orbit_trace(ctx, a) for a in range(ctx.order)]
 
 
-def coords_oracle(ctx: FieldContext, trace: list[int], a: int, elements) -> tuple[int, ...]:
-    """(Tr(a * e) for e in elements), with a trace table from field_tables_oracle."""
-    return tuple(trace[ctx._mul_raw(a, e)] for e in elements)
+def orbit_trace(ctx: FieldContext, a: int) -> int:
+    """Tr(a) as the sum of a's Frobenius orbit, in raw polynomial arithmetic."""
+    t, b = a, a
+    for _ in range(ctx.ell - 1):
+        b = ctx._pow_raw(b, ctx.q)
+        t = ctx._add_raw(t, b)
+    return t
+
+
+def coords_oracle(ctx: FieldContext, trace: list[int] | None, a: int, elements) -> tuple[int, ...]:
+    """(Tr(a * e) for e in elements), with a trace table from field_tables_oracle,
+    or each trace by orbit_trace where `trace` is None (fields past the table limit)."""
+    traced = trace.__getitem__ if trace is not None else lambda x: orbit_trace(ctx, x)
+    return tuple(traced(ctx._mul_raw(a, e)) for e in elements)
 
 
 def poly_mul(ctx: FieldContext, a, b) -> list[int]:
@@ -233,13 +237,21 @@ def is_codeword(code: RSCode, symbols) -> bool:
 
 def io_matrix_oracle(scheme: RepairScheme, i: int) -> list[list[int]]:
     """Node i's I/O matrix expanded straight from the dual codewords, each
-    evaluated point by point (not read from scheme.evals)."""
-    ctx, alpha = scheme.ctx, scheme.code.eval_points[i - 1]
-    return [list(ctx.dual_coords(poly_eval(ctx, g, alpha))) for g in scheme.duals]
+    evaluated point by point (not read from scheme.evals).  On a punctured code
+    each value is scaled by the column multiplier prod_{j != i} (alpha_i - alpha_j)^-1,
+    multiplied out here; at full length it is -1 at every node and left out."""
+    ctx, points = scheme.ctx, scheme.code.eval_points
+    alpha, v = points[i - 1], 1
+    if not scheme.code.is_full_length:
+        for beta in points:
+            if beta != alpha:
+                v = ctx._mul_raw(v, ctx.sub(alpha, beta))
+        v = ctx._pow_raw(v, ctx.order - 2)
+    return [list(ctx.dual_coords(ctx._mul_raw(v, poly_eval(ctx, g, alpha)))) for g in scheme.duals]
 
 
 def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int, list[int]]]:
-    """The per-helper trace repair the library ran before its packed lanes: a
+    """The per-helper trace repair the library ran before its packed rows: a
     loop over every helper, I/O matrix row and read column.  Every matrix comes
     from io_matrix_oracle and the failed node's inverse from the list rref, so
     nothing is read from the scheme's own tables."""

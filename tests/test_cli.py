@@ -1,14 +1,17 @@
+import contextlib
 import io
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repair_lab import cli, fieldmath
+from repair_lab.fieldmath import poly_shift
 from repair_lab.scheme import RepairScheme
 from repair_lab.search import VerificationError
 
@@ -206,6 +209,67 @@ def test_cost_deeply_nested_json_exits_2(text):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+# fields up to order 2^10, so a well-formed document costs a few milliseconds
+_FUZZ_FIELDS = [(2, ell) for ell in range(1, 11)] + [
+    (3, 1), (3, 2), (3, 3), (3, 6), (5, 2), (5, 4), (7, 3), (13, 2), (31, 2),
+]
+_HUGE = st.integers(2**64, 2**300) | st.integers(-(2**300), -(2**64))
+_DEEP_MARK = "@deep@"  # replaced in the text by nesting up to 3000 deep, past the JSON reader's limit
+_JUNK = st.recursive(
+    st.none() | st.booleans() | st.floats() | _HUGE | st.integers(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _cost_inputs(draw):
+    """The text of a `cost` stdin: a scheme document, often valid, with some fields
+    dropped or replaced by a wrong type, a huge int, a bool, a float, another field's
+    q and ell (a wrong n) or nesting deeper than the JSON reader recurses."""
+    q, ell = draw(st.sampled_from(_FUZZ_FIELDS), label="field")
+    ctx, n = fieldmath.field_context(q, ell), q**ell
+    k = draw(st.integers(1, n - 1), label="k")
+    star = draw(st.integers(1, n), label="star")
+    element = st.integers(0, n - 1)
+    # scale * b_t + (x - alpha*) * h_t(x) over the dual basis b, alpha* = star - 1: a valid scheme
+    scale, tail = draw(st.integers(1, n - 1), label="scale"), st.lists(element, max_size=min(n - k, 4) - 1)
+    duals = [poly_shift(ctx, [ctx.mul(scale, b)] + draw(tail), ctx.neg(star - 1)) for b in ctx.dual_basis]
+    doc = {"q": q, "ell": ell, "n": n, "k": k, "star": star, "duals": duals}
+    if draw(st.booleans(), label="spell out the field"):
+        doc["modulus"], doc["basis"] = list(ctx.modulus), list(ctx.basis)
+    for key in draw(st.lists(st.sampled_from([*doc, "modulus", "basis"]), unique=True, max_size=3)):
+        doc[key] = draw(st.one_of(
+            _JUNK, _HUGE, st.booleans(), st.floats(), st.just(_DEEP_MARK), st.just(None),
+            st.lists(_JUNK | _HUGE | element, max_size=ell + 1),
+            st.sampled_from(_FUZZ_FIELDS).map(lambda f: f[0] if key == "q" else f[1]),
+        ), label=key)
+        if doc[key] is None and draw(st.booleans()):
+            del doc[key]
+    if draw(st.booleans(), label="inside a construct payload"):
+        doc = {"scheme": doc}
+    if draw(st.integers(0, 9), label="junk document") == 9:
+        doc = draw(_JUNK)
+    depth = draw(st.integers(1, 3000), label="depth")
+    return json.dumps(doc).replace(json.dumps(_DEEP_MARK), "[" * depth + "]" * depth)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cost_inputs())
+def test_fuzzed_cost_input_exits_0_or_2_with_one_line(text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["--json", "cost"])
+    assert code in (0, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    else:
+        report = json.loads(out.getvalue())
+        assert report["io_cost"] == report["io_cost_formula"] and err.getvalue() == ""
 
 
 _TIMED_MAIN = """

@@ -348,14 +348,16 @@ def test_tables_match_the_element_by_element_builders(ctx):
         assert fresh.dual_coords(a) == coords_oracle(ctx, trace, a, ctx.basis)
         assert fresh.basis_coords(a) == coords_oracle(ctx, trace, a, ctx.dual_basis)
     assert len(fresh._dual_table) == len(fresh._basis_table) == ctx.order
-    # the packed rows: one B-linear table, built on first use
-    assert fresh._rows is None
+    # the packed rows: one B-linear table per flavour, each built on first use
+    assert fresh._rows == {}
     pk = linalg.Packing(ctx.q, ctx.ell)
-    rows, texts = fresh.dual_rows(())
-    assert fresh.dual_rows(()) is fresh._rows
-    for a in range(ctx.order):
-        row = pk.pack(coords_oracle(ctx, trace, a, ctx.basis))
-        assert rows[a] == row and texts[a] == format(row, f"0{ctx.ell * pk.b}b")
+    for dual, against in ((True, ctx.basis), (False, ctx.dual_basis)):
+        rows, texts = fresh.coord_rows((), dual=dual)
+        assert fresh.coord_rows((), dual=dual) is fresh._rows[dual]
+        for a in range(ctx.order):
+            row = pk.pack(coords_oracle(ctx, trace, a, against))
+            assert rows[a] == row and texts[a] == format(row, f"0{ctx.ell * pk.b}b")
+    assert list(fresh._rows) == [True, False]
 
 
 def test_large_field_without_tables():
@@ -377,12 +379,13 @@ def test_large_field_without_tables():
     assert ctx._dual_table is None and ctx._basis_table is None
     # packed rows are computed for the values asked for, and kept nowhere
     pk, values = linalg.Packing(5, 8), [0, 1, 2, 390624, 77777, 1]
-    rows, texts = ctx.dual_rows(values)
-    assert sorted(rows) == sorted(texts) == sorted(set(values))
-    for a in values:
-        assert pk.unpack(rows[a]) == list(ctx.dual_coords(a))
-        assert int(texts[a], 2) == rows[a] and len(texts[a]) == 8 * pk.b
-    assert ctx._rows is None
+    for dual, against in ((True, ctx.basis), (False, ctx.dual_basis)):
+        rows, texts = ctx.coord_rows(values, dual=dual)
+        assert sorted(rows) == sorted(texts) == sorted(set(values))
+        for a in values:
+            assert pk.unpack(rows[a]) == list(coords_oracle(ctx, None, a, against))
+            assert int(texts[a], 2) == rows[a] and len(texts[a]) == 8 * pk.b
+    assert ctx._rows == {}
 
 
 @pytest.mark.parametrize("q, ell", [(2, 17), (5, 7)])

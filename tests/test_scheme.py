@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repair_lab import linalg
 from repair_lab.construction import build_low_io_scheme
 from repair_lab.fieldmath import FieldContext, coset_weight, poly_shift
 from repair_lab.rs import RSCode
@@ -108,8 +109,6 @@ def test_io_matrix_index_range():
 
 
 def test_io_matrix_full_rank_at_failed_node():
-    from repair_lab import linalg
-
     for scheme in _random_valid_schemes(GF8, 3, 10, seed=21):
         w = scheme.io_matrix(scheme.star)
         assert linalg.rank(w, 2) == 3
@@ -125,8 +124,6 @@ def test_accessed_subsymbols():
 
 
 def test_io_table_matches_the_direct_expansion():
-    from repair_lab import linalg
-
     schemes = [
         *_random_valid_schemes(GF8, 2, 5, seed=27),
         *_random_valid_schemes(GF8, 3, 5, seed=28),
@@ -165,8 +162,6 @@ def test_io_table_matches_the_direct_expansion():
 
 
 def _check_helper_ranks_once(monkeypatch, scheme, bandwidth):
-    from repair_lab import linalg
-
     n, ell = scheme.code.n, scheme.ctx.ell
     sizes, shapes, rrefs = [], [], []
     echelon, rank, rref = linalg.echelon, linalg.rank, linalg.rref
@@ -295,8 +290,6 @@ def test_formula_equals_direct_on_random_odd_q_schemes(data):
 
 
 def test_stacked_matrix_bookkeeping():
-    from repair_lab import linalg
-
     for scheme in _random_valid_schemes(GF8, 2, 20, seed=24):
         stacked = scheme.stacked_io_matrix()
         assert len(stacked) == 3 and len(stacked[0]) == 8 * 3
@@ -472,15 +465,34 @@ def test_packed_repair_matches_the_per_helper_oracle(case):
     scheme, word, erased = case
     value, reads = scheme.repair_transcript(word)
     expected_value, expected_reads = repair_transcript_oracle(scheme, word)
-    assert value == expected_value
-    if scheme.code.is_full_length:  # a punctured code's dual needs column multipliers
-        assert value == erased
+    assert value == expected_value == erased
     assert list(reads.items()) == list(expected_reads.items())  # same helpers, same order
-    # the mask the helpers' symbols pass through is exactly the reported reads
-    ctx = scheme.ctx
-    stride = 8 * -(-ctx.ell // 8) * (ctx.q - 1).bit_length()  # the lanes of one node
-    _, mask, _ = scheme._lanes
-    assert mask == sum(1 << (i - 1) * stride + c - 1 for i, cols in reads.items() for c in cols)
+    # the mask the helpers' symbols pass through is exactly the reported reads: node i's
+    # column c is the whole field (n - i) * ell + ell - c of the packed stacked rows
+    ctx, n = scheme.ctx, scheme.code.n
+    pk = linalg.Packing(ctx.q, n * ctx.ell)
+    _, mask, _ = scheme._planes
+    assert mask == sum(pk.mask << ((n - i) * ctx.ell + ctx.ell - c) * pk.b
+                       for i, cols in reads.items() for c in cols)
+
+
+def test_punctured_code_repairs_exactly_through_the_column_multipliers():
+    # the dual of a punctured RS code is a generalized RS code: its codewords are
+    # v_i * g(alpha_i), v_i = prod_{j != i} (alpha_i - alpha_j)^-1; without the
+    # multipliers these schemes still validate, but repair wrongly
+    ctx = FieldContext(2, 3)
+    code = RSCode(ctx, [0, 1, 2, 4], 2)
+    assert code.dual_multipliers == (6, 7, 5, 4)
+    for star in range(1, 5):
+        for scale in range(1, 8):
+            duals = [poly_shift(ctx, [ctx.mul(scale, b), c], ctx.neg(code.eval_points[star - 1]))
+                     for b, c in zip(ctx.dual_basis, (scale, 0, 3))]
+            scheme = RepairScheme(code, star, duals)
+            assert scheme.validate() is None
+            for message in product(range(8), repeat=2):
+                word = code.encode(list(message))
+                erased, word[star - 1] = word[star - 1], None
+                assert scheme.repair_transcript(word) == (erased, repair_transcript_oracle(scheme, word)[1])
 
 
 @settings(max_examples=80, deadline=None)
@@ -502,7 +514,7 @@ def test_packed_repair_reads_only_what_it_reports(case, rng):
 )
 def test_large_q_repair_matches_the_oracle(q, ell, modulus):
     # 5 to 17 bit planes per coordinate, GF(65537^2) (x^2 - 3) past the table limit;
-    # the first repair builds the context's lane tables, which grow as q^ell * log2(q)
+    # the first repair builds the context's basis-coordinate rows, one per element
     ctx = FieldContext(q, ell, modulus)
     rng = random.Random(q)
     points = rng.sample(range(ctx.order), 24)
@@ -543,12 +555,13 @@ def test_costing_builds_no_repair_tables(monkeypatch):
     copy = RepairScheme.from_dict(json.loads(json.dumps(scheme.to_dict())))
     for s in (scheme, copy):
         s.cost_report()
-        assert "_lanes" not in vars(s) and "_recon" not in vars(s)
-        assert not s.ctx._lanes
+        assert "_planes" not in vars(s) and "_recon" not in vars(s)
+        assert list(s.ctx._rows) == [True]  # the dual-coordinate rows alone
     word = copy.code.random_codeword(2)
     erased, word[4] = word[4], None
     assert copy.repair_transcript(word)[0] == erased
-    assert "_lanes" in vars(copy) and copy.ctx._lanes
+    assert "_planes" in vars(copy) and "_recon" in vars(copy)
+    assert list(copy.ctx._rows) == [True, False]  # repair adds the basis-coordinate rows
 
 
 # ---- translation -----------------------------------------------------------------

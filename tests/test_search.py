@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
@@ -467,7 +469,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
         def map(self, fn, *iterables):
             return list(map(fn, *iterables))
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
     monkeypatch.delenv("REPAIR_LAB_THREADS", raising=False)
@@ -478,6 +480,14 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     assert cost == serial_cost == 52
     assert witness.to_dict() == serial_witness.to_dict()
     assert search._resolve_workers(None, 10**9) == 2
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # concurrent.futures.process (and multiprocessing) load only where a pool starts
+    code = "import sys, repair_lab.cli; print('concurrent.futures.process' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_verify_bound_two_parities():

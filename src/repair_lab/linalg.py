@@ -68,7 +68,8 @@ class Packing:
 def echelon(pk: Packing, rows) -> dict[int, int]:
     """Forward pass: {field f: pivot row}, one pivot per leading field (column
     width-1-f), leading digit 1.  A row is cleared by the pivot owning its leading
-    field until it owns a new one or vanishes; the pivot count is the rank."""
+    field until it owns a new one or vanishes; the pivot count is the rank.  Each
+    clearing must lower the leading field, or ArithmeticError is raised."""
     q, b, add, scale = pk.q, pk.b, pk.add, pk.scale
     pivots: dict[int, int] = {}
     for v in rows:
@@ -80,6 +81,8 @@ def echelon(pk: Packing, rows) -> dict[int, int]:
             continue
         while v and (f := (v.bit_length() - 1) // b) in pivots:
             v = add(v, scale(pivots[f], q - (v >> f * b)))
+            if v >> f * b:  # a broken add would loop here for ever
+                raise ArithmeticError(f"clearing field {f} did not lower the row's leading field")
         if v:
             pivots[f] = scale(v, pow(v >> f * b, -1, q))
     return pivots

@@ -51,6 +51,11 @@ from .fieldmath import (
 )
 from .rs import RSCode
 
+# Largest field order, and so full length n, that RepairScheme.from_dict accepts: the
+# largest tabulated field.  A scheme builds and costs all n nodes, so a document naming
+# a prime q near 10^8 would exhaust memory rather than fail.
+MAX_ORDER = 1 << 16
+
 
 class RepairScheme:
     """ell dual codewords targeting one node of an RS code; immutable."""
@@ -312,6 +317,8 @@ class RepairScheme:
         if not isinstance(duals, list) or not all(is_int_list(g) for g in duals):
             raise ValueError("scheme field 'duals' must be a list of integer lists")
         ctx = field_context(data["q"], data["ell"], data.get("modulus"), data.get("basis"))
+        if ctx.order > MAX_ORDER:
+            raise ValueError(f"field order {ctx.order} is over the limit of {MAX_ORDER}")
         n = data.get("n", ctx.order)
         if not _is_int(n) or n != ctx.order:
             raise ValueError(f"scheme field 'n' must be q^ell = {ctx.order}, got {n!r}")

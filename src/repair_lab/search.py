@@ -16,21 +16,24 @@ orbit with A_1 != 0 has q^ell - 1 members and exactly one whose first nonzero
 A_1(b_t) is the field's 1, so slice t0 (t0 = 0..ell-1) fixes A_1(b_t) = 0 for
 t < t0 and A_1(b_t0) = 1; one more slice holds A_1 = 0 whole (its orbits stay
 in it).  The scan visits q^(ell^2 (r-2)) * ((q^(ell^2) - 1)/(q^ell - 1) + 1)
-schemes, one packed modular q-ary Gray walk over each slice's free cells, one
-row addition per scheme.  The walk is an exact branch and bound: a scheme's
-cost is the nonzero-field count of its rows' OR, less ell, and an OR only gains
-weight, so the slow rows alone bound every scheme in a block of fast-row
-counters; a block whose bound exceeds the best cost so far (strictly, so every
-tie is still scored) is skipped but counted as visited.  The slices'
-Gray-counter ranges, laid end to end, are cut into equal contiguous loads for
-the worker processes (the CPU count and REPAIR_LAB_THREADS cap them); each
-keeps its least cost and every (slice, counter) reaching it.  The witness,
-whatever the worker count, is the lexicographically smallest reduced-echelon
-basis (over the basis[t] * x^d) among the tied orbits' members.  A scaling is
-B-linear in the e_{d,u} coordinates, so each c gives one table per search, the
-packed multiples of c^d e_{d,u} in linalg's row format (column 0 most
-significant, so integer order is tuple order): an image row is a sum of
-entries, and linalg's one elimination reduces each image's rows.
+schemes, a packed modular q-ary Gray walk over each slice's free cells; a
+per-slice table of the fast row's low part lets one comprehension cost a whole
+aligned block of counters, so only the digits above it are walked in Python.
+The walk is an exact branch and bound: a scheme's cost is the nonzero-field
+count of its rows' OR, less ell, and an OR only gains weight, so the slow rows
+alone bound every scheme in a block of fast-row counters; a block whose bound
+exceeds the best cost so far (strictly, so every tie is still scored) is
+skipped but counted as visited.  The slices' Gray-counter ranges, laid end to
+end, are cut into equal contiguous loads for the worker processes (the CPU
+count and REPAIR_LAB_THREADS cap them); each keeps its least cost and every
+(slice, counter) reaching it.  The witness, whatever the worker count, is the
+lexicographically smallest reduced-echelon basis (over the basis[t] * x^d)
+among the tied orbits' members.  A tie's rows are read off its counter digits;
+a scaling is B-linear in the e_{d,u} coordinates, and psi_d, the table of
+a -> a * (x - alpha*)^d in linalg's row format (column 0 most significant, so
+integer order is tuple order), gives each c's table g * c^d e_{d,u} =
+psi_d[g c^d b_u]: an image row is a sum of entries, and linalg's one
+elimination reduces each image's rows.
 
 A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
 at interactive scale.
@@ -50,6 +53,7 @@ from .scheme import RepairScheme
 
 SUBSPACE_CAP = 10_000_000
 _PARALLEL_THRESHOLD = 50_000
+_BLOCK_BUDGET = 1 << 14  # entries of _scan's table of fast-row values, q^(w+1)
 
 
 class VerificationError(Exception):
@@ -95,16 +99,19 @@ def _slices(ell: int, r: int, q: int) -> list[tuple[int, int, int]]:
     return [(s, 0, q ** len(_cells(s, ell, r))) for s in range(ell + 1)]
 
 
-def _graph_rows(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[int]]:
-    """Slice s's scheme at a Gray counter, as rows over the e_{d,u} (index d*ell + u)."""
+def _graph(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[tuple[int, int]]]:
+    """Slice s's scheme at a Gray counter: each row's nonzero entries, as
+    (e_{d,u} index d*ell + u, digit) pairs."""
     q, ell = ctx.q, ctx.ell
-    cells = _cells(s, ell, r)
-    digits = [counter // q**j % q for j in range(len(cells))] + [0]
-    rows = [[int(c == t) for c in range(r * ell)] for t in range(ell)]
+    rows = [[(t, 1)] for t in range(ell)]
     if s < ell:
-        rows[s][ell : 2 * ell] = ctx.basis_coords(1)
-    for j, (t, c) in enumerate(cells):
-        rows[t][c] = (digits[j] - digits[j + 1]) % q
+        rows[s] += [(ell + u, g) for u, g in enumerate(ctx.basis_coords(1)) if g]
+    digit = counter % q
+    for t, c in _cells(s, ell, r):  # a digit past the last cell is 0
+        counter //= q
+        if g := (digit - counter % q) % q:
+            rows[t].append((c, g))
+        digit = counter % q
     return rows
 
 
@@ -112,9 +119,9 @@ def _shifted_rows(ctx: FieldContext, r: int, star: int) -> list[tuple[int, ...]]
     """The stacked subsymbol coordinates (length n*ell over B) of every
     e_{d,t} = basis[t] * (x - alpha*)^d, at index d*ell + t."""
     alpha = star - 1  # full-length points are 0..n-1 in order
-    rows = []
+    shifted, rows = [ctx.sub(a, alpha) for a in range(ctx.order)], []
     for d in range(r):
-        powers = [ctx.power(ctx.sub(a, alpha), d) for a in range(ctx.order)]
+        powers = [ctx.power(x, d) for x in shifted]
         for b in ctx.basis:
             rows.append(tuple(c for p in powers for c in ctx.dual_coords(ctx.mul(b, p))))
     return rows
@@ -139,19 +146,25 @@ def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing):
     of each tie (slice, counter) and, outside the A_1 = 0 slice, of all its
     q^ell - 1 scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole)."""
     q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
-    # (x - alpha*)^d as x^j coefficients, j < r
+    # (x - alpha*)^d as x^j coefficients, j < r, times each monomial q^i
     powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
+    images = [[[ctx.mul(q**i, p) for p in ps] for i in range(ell)] for ps in powers]
+    texts = ctx.coord_rows([a for image in images for row in image for a in row])[1]
+    # psi[d][a]: a * (x - alpha*)^d packed over the basis[t] * x^j, B-linear in a
+    psi = [
+        ctx._linear_table([int("".join(map(texts.__getitem__, row)), 2) for row in image], pk.add)
+        for image in images
+    ]
     tables = {}  # per c, g * c^d e_{d,u} packed, at index (d*ell + u)*q + g
     for c in range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,):
-        table = tables[c] = []
-        for d in range(r):
-            for b in ctx.basis:
-                cb = ctx.mul(ctx.power(c, d), b)
-                coords = [x for a in powers[d] for x in ctx.basis_coords(ctx.mul(cb, a))]
-                table += accumulate(repeat(pk.pack(coords), q - 1), pk.add, initial=0)
+        tables[c] = [
+            psi_d[ctx.mul(g, cb)]
+            for d, psi_d in enumerate(psi)
+            for cb in [ctx.mul(ctx.power(c, d), b) for b in ctx.basis]
+            for g in range(q)
+        ]
     for s, counter in ties:
-        rows = _graph_rows(ctx, r, s, counter)
-        graph = [[k * q + g for k, g in enumerate(row) if g] for row in rows]
+        graph = [[c * q + g for c, g in row] for row in _graph(ctx, r, s, counter)]
         for c in tables if s < ell else (1,):
             entry = tables[c].__getitem__
             image = [reduce(pk.add, map(entry, row)) for row in graph]
@@ -191,78 +204,93 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
     dual-space row is added to one scheme row.  Rows (n*ell subsymbol
     coordinates) are packed by linalg.Packing.  The cost counts the nonzero
-    fields of the rows' OR, less the ell columns of the failed node; the OR of
-    the slow rows is rebuilt only when one of them moves.
+    fields of the rows' OR, less the ell columns of the failed node.
 
-    The scan is an exact branch and bound.  The fast row's m cells are digits
-    0..m-1, so within an aligned block of q^m counters the slow digits g_j,
-    j >= m, are constant, and an OR only gains nonzero fields: the slow rows'
-    cost bounds every scheme left in the block.  When it exceeds the best cost
-    so far, strictly, the walk jumps to the block's end (or the range's stop);
-    no skipped scheme could tie, so the ties are the unpruned walk's.  The jump
-    is one carry at digit m, a Gray step on one slow row, and the fast row is
-    reset to its value at a_0..a_{m-1} = 0, where only g_{m-1} = -a_m is nonzero.
-    Skipped schemes still count as visited.
+    The fast row's m cells are digits 0..m-1: within an aligned block of q^m
+    counters the slow rows are fixed and the fast row is base + sum_{j<m}
+    g_j P[c_j].  Its part below digit w (the largest w <= m with q^(w+1) <=
+    _BLOCK_BUDGET) depends only on digits 0..w, so L holds it at every
+    a_w * q^w + k, one packed add each in Gray order, and hi the rest (base is
+    folded into L when w = m).  One comprehension over L costs each aligned
+    segment of q^w counters; only digits w and up are carried here.  A fast
+    cell adds to hi, a slow cell to its row, after which hi is the fast row at
+    a_0..a_{m-1} = 0, where only g_{m-1} = -a_m is nonzero.
+
+    The scan is an exact branch and bound.  An OR only gains nonzero fields, so
+    when a slow row has moved (or the range begins) the slow rows' cost bounds
+    the rest of the block; if it exceeds the best cost so far, strictly, the
+    walk jumps to the block's end (or the range's stop).  No skipped scheme
+    could tie, and the best cost is read only at these checks, between
+    segments, so the prunes, the scored schemes and the ties in order are
+    those of a walk costing one scheme at a time.  Skipped schemes still count
+    as visited.
     """
     q, ell = ctx.q, ctx.ell
     data = _shifted_rows(ctx, r, star)
     pk = Packing(q, len(data[0]))
     P = [pk.pack(row) for row in data]
-    high, over, shift, nonzero = pk.high, pk.over, pk.b - 1, pk.high - pk.ones
+    add, high, over, shift, nonzero = pk.add, pk.high, pk.over, pk.b - 1, pk.high - pk.ones
 
-    def pack(coords) -> int:
-        return reduce(pk.add, [P[c] for c, g in enumerate(coords) for _ in range(g)], 0)
+    def pack(row, total=0) -> int:
+        return reduce(add, [P[c] for c, g in row for _ in range(g)], total)
 
     fast = ell - 1
     count, skipped, best, ties = 0, 0, ctx.order * ell, []  # every cost is below n*ell
     for s, start, stop in items:
         cells = _cells(s, ell, r)
         m = sum(row == fast for row, _ in cells)  # no pruning without fast cells
-        block = q**m
+        w = max([0] + [v for v in range(1, m + 1) if q ** (v + 1) <= _BLOCK_BUDGET])
+        width, block, fold = q**w, q**m, w == m
         a = [start // q**j % q for j in range(len(cells))] + [0]
-        rows = [pack(coords) for coords in _graph_rows(ctx, r, s, start)]
-        if m:  # the fast row at a block boundary, indexed by a_m
-            base = pack(_graph_rows(ctx, r, s, 0)[fast])
-            resets = list(accumulate(repeat(P[cells[m - 1][1]], q - 1), pk.add, initial=base))
-        t, i = start, None
+        rows = [pack(row) for row in _graph(ctx, r, s, start)]
+        base = pack(_graph(ctx, r, s, 0)[fast])
+        hi = pack([(c, (a[j] - a[j + 1]) % q) for j, (_, c) in enumerate(cells[w:m], w)],
+                  0 if fold else base)
+        resets = [0] * q if fold else list(
+            accumulate(repeat(P[cells[m - 1][1]], q - 1), add, initial=base))
+        steps = []  # Gray steps below digit w + 1; a carry into digit w adds nothing
+        for j in range(w + 1):
+            steps = (steps + [P[cells[j][1]] if j < w else 0]) * (q - 1) + steps
+        L = list(accumulate(steps, add, initial=base if fold else 0))
+        t, moved = start, True
         while True:
-            if i != fast:  # a slow row moved (or this range just began)
+            if moved:  # a slow row moved (or this range just began)
                 rest = reduce(or_, rows[:fast], 0)
-                if m and ((rest + nonzero) & high).bit_count() - ell > best:
-                    end = min(t - t % block + block, stop)
-                    skipped += end - t
-                    t = end
-                    if t == stop:
-                        break
-                    a[:m] = [0] * m
-                    j = m
-                    while a[j] == q - 1:
-                        a[j] = 0
-                        j += 1
-                    a[j] += 1
-                    i, c = cells[j]
-                    rows[i] = pk.add(rows[i], P[c])
-                    rows[fast] = resets[-a[m] % q]
-                    continue
-            cost = (((rest | rows[fast]) + nonzero) & high).bit_count() - ell
-            if cost <= best:
-                if cost < best:
-                    best, ties = cost, []
-                ties.append((s, t))
-            t += 1
+            if moved and m and ((rest + nonzero) & high).bit_count() - ell > best:
+                end = min(t - t % block + block, stop)
+                skipped += end - t
+                t = end
+                a[w:m] = [q - 1] * (m - w)  # as at the block's last counter
+            else:
+                lo = a[w] * width + t % width
+                seg = L[lo : lo + min(width - t % width, stop - t)]
+                if q == 2:
+                    costs = [(rest | hi ^ v).bit_count() for v in seg]
+                elif fold:  # hi is 0
+                    costs = [(((rest | v) + nonzero) & high).bit_count() for v in seg]
+                else:  # pk.add inlined
+                    costs = [(((rest | (u := hi + v) - (((u + over) & high) >> shift) * q)
+                               + nonzero) & high).bit_count() for v in seg]
+                low = min(costs)
+                if low - ell <= best:
+                    if low - ell < best:
+                        best, ties = low - ell, []
+                    ties += [(s, t + k) for k, cost in enumerate(costs) if cost == low]
+                t += len(seg)
             if t == stop:
                 break
-            j = 0
+            j = w  # the digits below w are all q-1 here
             while a[j] == q - 1:
                 a[j] = 0
                 j += 1
             a[j] += 1
             i, c = cells[j]
-            if q == 2:  # pk.add inlined: this is the hot loop
-                rows[i] ^= P[c]
+            moved = i != fast
+            if moved:
+                rows[i] = add(rows[i], P[c])
+                hi = resets[-a[m] % q]
             else:
-                v = rows[i] + P[c]
-                rows[i] = v - (((v + over) & high) >> shift) * q
+                hi = add(hi, P[c])
         count += t - start
     return count, count - skipped, best, ties
 

@@ -17,7 +17,7 @@ from repair_lab.linalg import Packing
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _cells, _graph_rows, _rows_to_scheme, _shifted_rows
+from repair_lab.search import _cells, _rows_to_scheme, _shifted_rows
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -420,6 +420,20 @@ def pattern_scan(ctx: FieldContext, r: int, star: int):
             rows[i], vals[i] = add(rows[i], P[c]), add(vals[i], V[c])
         count += stop
     return count, best
+
+
+def _graph_rows(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[int]]:
+    """Slice s's scheme at a Gray counter, as dense rows over the e_{d,u}
+    (index d*ell + u)."""
+    q, ell = ctx.q, ctx.ell
+    cells = _cells(s, ell, r)
+    digits = [counter // q**j % q for j in range(len(cells))] + [0]
+    rows = [[int(c == t) for c in range(r * ell)] for t in range(ell)]
+    if s < ell:
+        rows[s][ell : 2 * ell] = ctx.basis_coords(1)
+    for j, (t, c) in enumerate(cells):
+        rows[t][c] = (digits[j] - digits[j + 1]) % q
+    return rows
 
 
 def plain_scan(ctx: FieldContext, r: int, star: int, items):

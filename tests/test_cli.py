@@ -297,9 +297,14 @@ def _limit_memory():
         (["cost"], json.dumps({**_GOOD_DOC, "ell": 10**30, "modulus": [1, 1, 1]})),
         (["compare", "--q", "2", "--ell", str(10**12), "--s", "0", "--k", "3"], ""),
         (["compare", "--q", "2", "--ell", str(10**5), "--s", "0", "--k", "3"], ""),
+        # a prime field of 10^8 points would exhaust memory; one of 10^6 prints 10^6 rows
+        (["--json", "cost"], json.dumps({"q": 100000007, "ell": 1, "k": 2, "star": 1,
+                                         "duals": [[1]]})),
+        (["--json", "cost"], json.dumps({"q": 1000003, "ell": 1, "k": 2, "star": 1,
+                                         "duals": [[1]]})),
     ],
     ids=["field-info-1e12", "field-info-1e8", "cost-1e30", "cost-1e30-modulus",
-         "compare-1e12", "compare-1e5"],
+         "compare-1e12", "compare-1e5", "cost-q1e8", "cost-q1e6"],
 )
 def test_huge_ell_exits_2_at_once(argv, stdin):
     # q**ell must not be formed before the modulus is resolved; a 1 GB address

@@ -228,3 +228,18 @@ def test_packed_elimination_at_large_primes(case):
     # fields too wide for one int() digit: packed one digit at a time, scaled by doubling
     p, rows = case
     _check_against_the_oracle(rows, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 65537])
+def test_a_broken_add_fails_the_elimination_at_once(monkeypatch, p):
+    # fieldwise subtraction in place of addition never clears a leading field,
+    # which looped for ever before each clearing pass was checked
+    def subtract(pk, x, y):
+        s = x + pk.q * pk.ones - y
+        return s - (((s + pk.over) & pk.high) >> (pk.b - 1)) * pk.q
+
+    rows = [[1, 0, 2], [1, 1, 0], [2, 1, 1]]
+    assert linalg.rank(rows, p) == 3
+    monkeypatch.setattr(linalg.Packing, "add", subtract)
+    with pytest.raises(ArithmeticError, match="did not lower the row's leading field"):
+        linalg.rank(rows, p)

@@ -690,6 +690,16 @@ def test_from_dict_checks_n(n):
     assert RepairScheme.from_dict(data).code.n == 8
 
 
+def test_from_dict_bounds_the_order():
+    from repair_lab.scheme import MAX_ORDER
+
+    doc = {"q": 2, "ell": 16, "k": MAX_ORDER - 2, "star": 1, "duals": [[1 << i] for i in range(16)]}
+    assert RepairScheme.from_dict(doc).code.n == MAX_ORDER == 1 << 16
+    for q in (MAX_ORDER + 1, 100000007):  # both prime
+        with pytest.raises(ValueError, match=f"field order {q} is over the limit of 65536"):
+            RepairScheme.from_dict({"q": q, "ell": 1, "k": 2, "star": 1, "duals": [[1]]})
+
+
 def test_short_code_scheme_does_not_serialize():
     scheme = RepairScheme(
         RSCode(GF8, [0, 1, 2, 3], 2), 1, [[g] for g in GF8.dual_basis]

@@ -251,9 +251,13 @@ def test_visited_orbits_cover_every_valid_scheme_once(ctx, r, star):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_packed_orbit_keys_match_the_polynomial_oracle(data):
+    # the packed images read the basis coordinates through coord_rows, so bases
+    # without 1, with 1 elsewhere than first, and of an ell = 1 field are drawn too
     ctx = data.draw(st.sampled_from([
         GF4, GF8, GF9, FieldContext(5, 2), FieldContext(2, 3, [1, 0, 1, 1], [3, 5, 7]),
-        FieldContext(3, 2, None, [2, 4]),
+        FieldContext(3, 2, None, [2, 4]), FieldContext(3, 2, None, [6, 5]),
+        FieldContext(2, 3, None, [3, 2, 4]), FieldContext(5, 2, None, [7, 3]),
+        FieldContext(2, 2, None, [2, 3]), FieldContext(7, 1, None, [3]),
     ]))
     r = data.draw(st.integers(2, 3))
     star = data.draw(st.integers(1, ctx.order))
@@ -338,6 +342,10 @@ def _plain(ctx, r, star, items):
     return count, count, best, ties
 
 
+# block budgets where the fast row's m = 6 cells at q=2 ell=3 r=3 are scored
+# q^w at a time with w = m, 0 < w = 2 < m and w = 0
+_BUDGETS = [1 << 14, 8, 2]
+
 # (q, ell, r): fast rows with and without free cells, one to three slow rows
 _PRUNE_CASES = [
     (2, 2, 3), (2, 3, 2), (2, 3, 3), (3, 2, 2), (3, 2, 3), (3, 3, 2),
@@ -351,6 +359,9 @@ def test_pruned_scan_matches_the_unpruned_walk(data):
     q, ell, r = data.draw(st.sampled_from(_PRUNE_CASES))
     ctx = FieldContext(q, ell)
     star = data.draw(st.integers(1, ctx.order))
+    # the fast-row table holds q^(w+1) <= budget entries: every case scores whole
+    # q^m blocks (w = m) at 2^14, and at 30, 8 and 2 takes 0 < w < m or w = 0 on some
+    budget = data.draw(st.sampled_from(_BUDGETS + [30]))
     slices = search._slices(ell, r, q)
     if data.draw(st.booleans()):
         loads = search._split(slices, data.draw(st.integers(2, 4)))
@@ -360,7 +371,10 @@ def test_pruned_scan_matches_the_unpruned_walk(data):
         ).map(lambda ends: (item[0], *sorted(ends))))
         loads = [data.draw(st.lists(spans, min_size=1, max_size=3))]
     for load in loads:
-        pruned, plain = search._scan(ctx, r, star, load), _plain(ctx, r, star, load)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_BLOCK_BUDGET", budget)
+            pruned = search._scan(ctx, r, star, load)
+        plain = _plain(ctx, r, star, load)
         assert pruned[0] == sum(stop - start for _, start, stop in load)
         assert 0 < pruned[1] <= pruned[0]
         assert _merge([pruned]) == _merge([plain])
@@ -377,9 +391,10 @@ def test_pruning_keeps_every_tie(q, ell, r, ties):
     assert _merge([pruned]) == _merge([_plain(ctx, r, 1, items)])
 
 
-def test_pruned_scan_matches_on_split_loads():
-    # 5 loads of 7 578 visits, each cut inside a block of 64 fast-row counters;
-    # the prune fires in the block holding the first and the third cut
+def test_pruned_scan_matches_on_split_loads(monkeypatch):
+    # 5 loads of 7 578 visits, each cut inside a block of 64 fast-row counters
+    # (and inside a table segment of 4 when w = 2); the prune fires in the block
+    # holding the first and the third cut
     items = search._slices(3, 3, 2)
     loads = search._split(items, 5)
     assert [(s, stop % 64) for s, _, stop in (load[-1] for load in loads[:-1])] == [
@@ -387,9 +402,32 @@ def test_pruned_scan_matches_on_split_loads():
     ]
     for star in (1, 5):
         for load in loads:
-            pruned = search._scan(GF8, 3, star, load)
-            assert pruned[0] == sum(stop - start for _, start, stop in load)
-            assert _merge([pruned]) == _merge([_plain(GF8, 3, star, load)])
+            plain = _merge([_plain(GF8, 3, star, load)])
+            for budget in _BUDGETS:
+                monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
+                pruned = search._scan(GF8, 3, star, load)
+                assert pruned[0] == sum(stop - start for _, start, stop in load)
+                assert _merge([pruned]) == plain
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("q,ell,r,stars,scan", [
+    (2, 3, 3, range(1, 9), (37_888, 13_808, 13, 75)),
+    (3, 3, 2, range(1, 28), (758, 758, 69, 3)),
+    (5, 2, 3, (1, 17), (16_875, 15_025, 39, 4)),
+])
+def test_scored_is_pinned_at_every_node(monkeypatch, budget, q, ell, r, stars, scan):
+    # full-length translations keep every cost, so each node walks the same
+    # blocks; a changed prune decision changes the count of scored schemes.  At
+    # q=5 a pruned block resets the fast row to -a_m, and a wrong sign loses ties.
+    monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
+    ctx = FieldContext(q, ell)
+    items = search._slices(ell, r, q)
+    for star in stars:
+        result = search._scan(ctx, r, star, items)
+        visited, scored, cost, ties = result
+        assert (visited, scored, cost, len(ties)) == scan
+    assert _merge([result]) == _merge([_plain(ctx, r, star, items)])
 
 
 def test_pruning_fires_and_the_count_check_reads_visits(monkeypatch):

@@ -8,10 +8,9 @@ plain integer sum(d_i * q**i), so 0 and 1 are the field's zero and one, the inte
 A FieldContext fixes q, ell, the modulus (default: the monic irreducible of degree
 ell with the smallest encoding, for fields up to 5^12), and a working basis of F
 over B (default: the polynomial basis 1, x, ..., x^{ell-1}).  When the field is
-small enough the context precomputes discrete log/antilog and trace tables, and on
-first use an element -> coordinate table for each expansion below; larger fields
-fall back to direct polynomial arithmetic, with the trace read off its values at
-the monomials.  All arithmetic is exact — no floating point.
+small enough the context precomputes discrete log/antilog and trace tables; larger
+fields fall back to direct polynomial arithmetic, with the trace read off its values
+at the monomials.  All arithmetic is exact — no floating point.
 
 Every table is filled by linearity over B.  The trace, multiplication by the
 generator g and both coordinate expansions are B-linear maps f, so f is fixed by
@@ -28,7 +27,9 @@ Coordinate expansions come in two flavours that are easy to mix up:
   coefficients of a in the dual basis.
 
 coord_rows(values, dual) packs either flavour as one linalg.Packing(q, ell) row and
-its binary text, the one row format of the scheme's I/O table and of its repair.
+its binary text, the one row format of the scheme's I/O table, its repair and the
+search; tabulated fields build it for every element on first use, one table per
+flavour.  basis_coords and dual_coords are views of it: a's row, unpacked.
 
 Contexts are immutable after construction and safe to share across threads;
 field_context() hands equal arguments one shared context.
@@ -164,9 +165,7 @@ class FieldContext:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._trace_table: list[int] | None = None
-        # element -> dual_coords / basis_coords, filled on first use
-        self._dual_table: list[tuple[int, ...]] | None = None
-        self._basis_table: list[tuple[int, ...]] | None = None
+        self._pk = linalg.Packing(q, ell)  # coord_rows' row format
         self._rows: dict[bool, tuple[list[int], list[str]]] = {}  # coord_rows', by flavour
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
@@ -291,18 +290,6 @@ class FieldContext:
             out.append(t)
         return out
 
-    def _coord_table(self, elements) -> list[tuple[int, ...]]:
-        """a -> (Tr(a * e) for e in elements) at every element a, one linear
-        table per coordinate."""
-        q = self.q
-        add = xor if q == 2 else self._add_scalar
-        monomials = [q**j for j in range(self.ell)]
-        columns = [
-            self._linear_table([self.trace(self.mul(m, e)) for m in monomials], add)
-            for e in elements
-        ]
-        return list(zip(*columns))
-
     # ---- field operations ---------------------------------------------------
 
     add = _add_raw  # XOR at q = 2, digit by digit otherwise
@@ -384,28 +371,19 @@ class FieldContext:
 
     def basis_coords(self, a: int) -> tuple[int, ...]:
         """Coefficients of a in the working basis (a node's stored subsymbols)."""
-        table = self._basis_table
-        if table is None:
-            if self._exp is None:
-                return tuple(self.trace(self.mul(a, g)) for g in self.dual_basis)
-            table = self._basis_table = self._coord_table(self.dual_basis)
-        return table[a]
+        return tuple(self._pk.unpack(self.coord_rows((a,))[0][a]))
 
     def dual_coords(self, a: int) -> tuple[int, ...]:
         """Traces of a against the working basis = coefficients in the dual basis."""
-        table = self._dual_table
-        if table is None:
-            if self._exp is None:
-                return tuple(self.trace(self.mul(a, b)) for b in self.basis)
-            table = self._dual_table = self._coord_table(self.basis)
-        return table[a]
+        return tuple(self._pk.unpack(self.coord_rows((a,), dual=True)[0][a]))
 
     def coord_rows(self, values, dual: bool = False) -> tuple:
-        """(rows, texts) by element: basis_coords(a), or dual_coords(a) if `dual`, as one
-        linalg.Packing(q, ell) row and as fixed-width binary text; tabulated fields build
-        both for every element on first use, one B-linear table per flavour."""
+        """(rows, texts) by element: a's traces against the dual basis (its working-basis
+        coordinates), or against the working basis if `dual`, as one linalg.Packing(q, ell)
+        row and as fixed-width binary text; tabulated fields build both for every element
+        on first use, one B-linear table per flavour."""
         if dual not in self._rows:
-            pk, against = linalg.Packing(self.q, self.ell), self.basis if dual else self.dual_basis
+            pk, against = self._pk, self.basis if dual else self.dual_basis
             spec = f"0{self.ell * pk.b}b"
 
             def row(a):  # (Tr(a * e) for e in against), packed

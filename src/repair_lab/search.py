@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import os
 from functools import reduce
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import or_
 
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
@@ -99,13 +99,13 @@ def _slices(ell: int, r: int, q: int) -> list[tuple[int, int, int]]:
     return [(s, 0, q ** len(_cells(s, ell, r))) for s in range(ell + 1)]
 
 
-def _graph(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[tuple[int, int]]]:
+def _graph(ctx: FieldContext, r: int, s: int, counter: int, one) -> list[list[tuple[int, int]]]:
     """Slice s's scheme at a Gray counter: each row's nonzero entries, as
-    (e_{d,u} index d*ell + u, digit) pairs."""
+    (e_{d,u} index d*ell + u, digit) pairs; `one` is ctx.basis_coords(1)."""
     q, ell = ctx.q, ctx.ell
     rows = [[(t, 1)] for t in range(ell)]
     if s < ell:
-        rows[s] += [(ell + u, g) for u, g in enumerate(ctx.basis_coords(1)) if g]
+        rows[s] += [(ell + u, g) for u, g in enumerate(one) if g]
     digit = counter % q
     for t, c in _cells(s, ell, r):  # a digit past the last cell is 0
         counter //= q
@@ -115,16 +115,16 @@ def _graph(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[tuple[i
     return rows
 
 
-def _shifted_rows(ctx: FieldContext, r: int, star: int) -> list[tuple[int, ...]]:
-    """The stacked subsymbol coordinates (length n*ell over B) of every
-    e_{d,t} = basis[t] * (x - alpha*)^d, at index d*ell + t."""
+def _shifted_rows(ctx: FieldContext, r: int, star: int) -> list[int]:
+    """The stacked subsymbol coordinates of every e_{d,t} = basis[t] * (x - alpha*)^d,
+    at index d*ell + t: its values' dual_coords, packed by linalg.Packing(q, n*ell)."""
     alpha = star - 1  # full-length points are 0..n-1 in order
-    shifted, rows = [ctx.sub(a, alpha) for a in range(ctx.order)], []
+    shifted, values = [ctx.sub(a, alpha) for a in range(ctx.order)], []
     for d in range(r):
         powers = [ctx.power(x, d) for x in shifted]
-        for b in ctx.basis:
-            rows.append(tuple(c for p in powers for c in ctx.dual_coords(ctx.mul(b, p))))
-    return rows
+        values += [[ctx.mul(b, p) for p in powers] for b in ctx.basis]
+    texts = ctx.coord_rows(chain.from_iterable(values), dual=True)[1]
+    return [int("".join(map(texts.__getitem__, row)), 2) for row in values]
 
 
 def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
@@ -163,8 +163,9 @@ def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing):
             for cb in [ctx.mul(ctx.power(c, d), b) for b in ctx.basis]
             for g in range(q)
         ]
+    one = ctx.basis_coords(1)
     for s, counter in ties:
-        graph = [[c * q + g for c, g in row] for row in _graph(ctx, r, s, counter)]
+        graph = [[c * q + g for c, g in row] for row in _graph(ctx, r, s, counter, one)]
         for c in tables if s < ell else (1,):
             entry = tables[c].__getitem__
             image = [reduce(pk.add, map(entry, row)) for row in graph]
@@ -226,9 +227,8 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     as visited.
     """
     q, ell = ctx.q, ctx.ell
-    data = _shifted_rows(ctx, r, star)
-    pk = Packing(q, len(data[0]))
-    P = [pk.pack(row) for row in data]
+    P, one = _shifted_rows(ctx, r, star), ctx.basis_coords(1)
+    pk = Packing(q, ctx.order * ell)
     add, high, over, shift, nonzero = pk.add, pk.high, pk.over, pk.b - 1, pk.high - pk.ones
 
     def pack(row, total=0) -> int:
@@ -242,8 +242,8 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
         w = max([0] + [v for v in range(1, m + 1) if q ** (v + 1) <= _BLOCK_BUDGET])
         width, block, fold = q**w, q**m, w == m
         a = [start // q**j % q for j in range(len(cells))] + [0]
-        rows = [pack(row) for row in _graph(ctx, r, s, start)]
-        base = pack(_graph(ctx, r, s, 0)[fast])
+        rows = [pack(row) for row in _graph(ctx, r, s, start, one)]
+        base = pack(_graph(ctx, r, s, 0, one)[fast])
         hi = pack([(c, (a[j] - a[j + 1]) % q) for j, (_, c) in enumerate(cells[w:m], w)],
                   0 if fold else base)
         resets = [0] * q if fold else list(
@@ -376,6 +376,8 @@ def verify_bound(
     """
     _check_workers(workers)
     n, ell, q = ctx.order, ctx.ell, ctx.q
+    if not 2 <= r <= n - 1:
+        raise ValueError(f"need 2 <= r <= n-1, got r={r}")
     if r == 2:
         bound = (n - 1) * ell - q ** (ell - 1)
     elif r == 3:

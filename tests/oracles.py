@@ -17,7 +17,7 @@ from repair_lab.linalg import Packing
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _cells, _rows_to_scheme, _shifted_rows
+from repair_lab.search import _cells, _rows_to_scheme
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -430,9 +430,25 @@ def _graph_rows(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[in
     digits = [counter // q**j % q for j in range(len(cells))] + [0]
     rows = [[int(c == t) for c in range(r * ell)] for t in range(ell)]
     if s < ell:
-        rows[s][ell : 2 * ell] = ctx.basis_coords(1)
+        rows[s][ell : 2 * ell] = coords_oracle(ctx, None, 1, ctx.dual_basis)
     for j, (t, c) in enumerate(cells):
         rows[t][c] = (digits[j] - digits[j + 1]) % q
+    return rows
+
+
+def _shifted_coords(ctx: FieldContext, r: int, star: int) -> list[tuple[int, ...]]:
+    """The stacked dual-basis coordinates (length n*ell over B) of every
+    e_{d,t} = basis[t] * (x - alpha*)^d, at index d*ell + t: its coefficients by
+    poly_shift, its values by poly_eval and their traces by coords_oracle."""
+    rows = []
+    for d in range(r):
+        power = poly_shift(ctx, [0] * d + [1], ctx.neg(star - 1))  # (x - alpha*)^d
+        for b in ctx.basis:
+            g = [ctx._mul_raw(b, c) for c in power]
+            rows.append(tuple(
+                x for a in range(ctx.order)
+                for x in coords_oracle(ctx, None, poly_eval(ctx, g, a), ctx.basis)
+            ))
     return rows
 
 
@@ -450,9 +466,8 @@ def plain_scan(ctx: FieldContext, r: int, star: int, items):
     the slow rows is rebuilt only when one of them moves.
     """
     q, ell = ctx.q, ctx.ell
-    data = _shifted_rows(ctx, r, star)
-    pk = Packing(q, len(data[0]))
-    P = [pk.pack(row) for row in data]
+    pk = Packing(q, ctx.order * ell)
+    P = [pk.pack(row) for row in _shifted_coords(ctx, r, star)]
     high, over, shift, nonzero = pk.high, pk.over, pk.b - 1, pk.high - pk.ones
 
     fast = ell - 1

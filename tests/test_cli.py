@@ -375,6 +375,15 @@ def test_search_min_human(capsys):
 
 
 @pytest.mark.parametrize("command", ["search-min", "verify"])
+def test_r_equal_to_n_exits_2_naming_r(capsys, command):
+    # n = 2 at q=2 ell=1: r = 2 leaves k = 0, which the user never gave
+    code, out, err = _run(capsys, command, "--q", "2", "--ell", "1", "--r", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need 2 <= r <= n-1, got r=2\n"
+
+
+@pytest.mark.parametrize("command", ["search-min", "verify"])
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_nonpositive_workers_exit_2(capsys, command, workers):
     code, out, err = _run(

@@ -342,13 +342,18 @@ def test_tables_match_the_element_by_element_builders(ctx):
     assert ctx._exp == exp
     assert ctx._log == log
     assert ctx._trace_table == trace
+    # dual_coords and basis_coords read coord_rows' table of their flavour, each
+    # built on first use
     fresh = FieldContext(ctx.q, ctx.ell, ctx.modulus, ctx.basis)
-    assert fresh._dual_table is None and fresh._basis_table is None
+    assert fresh._rows == {}
     for a in range(ctx.order):
         assert fresh.dual_coords(a) == coords_oracle(ctx, trace, a, ctx.basis)
+    assert list(fresh._rows) == [True] and len(fresh._rows[True][0]) == ctx.order
+    for a in range(ctx.order):
         assert fresh.basis_coords(a) == coords_oracle(ctx, trace, a, ctx.dual_basis)
-    assert len(fresh._dual_table) == len(fresh._basis_table) == ctx.order
+    assert list(fresh._rows) == [True, False] and len(fresh._rows[False][0]) == ctx.order
     # the packed rows: one B-linear table per flavour, each built on first use
+    fresh = FieldContext(ctx.q, ctx.ell, ctx.modulus, ctx.basis)
     assert fresh._rows == {}
     pk = linalg.Packing(ctx.q, ctx.ell)
     for dual, against in ((True, ctx.basis), (False, ctx.dual_basis)):
@@ -370,13 +375,15 @@ def test_large_field_without_tables():
         assert ctx.mul(a, ctx.inv(a)) == 1
         assert ctx.trace(ctx.frobenius(a)) == ctx.trace(a)
         assert ctx.from_basis_coords(ctx.basis_coords(a)) == a
+        assert ctx.basis_coords(a) == coords_oracle(ctx, None, a, ctx.dual_basis)
+        assert ctx.dual_coords(a) == coords_oracle(ctx, None, a, ctx.basis)
     # duality spot-checked on a corner of the pairing matrix
     assert ctx.trace(ctx.mul(ctx.basis[0], ctx.dual_basis[0])) == 1
     assert ctx.trace(ctx.mul(ctx.basis[0], ctx.dual_basis[7])) == 0
     assert ctx.dual_coords(ctx.basis[2]) == tuple(
         ctx.trace(ctx.mul(ctx.basis[2], b)) for b in ctx.basis
     )
-    assert ctx._dual_table is None and ctx._basis_table is None
+    assert ctx._rows == {}  # no table of either flavour is built
     # packed rows are computed for the values asked for, and kept nowhere
     pk, values = linalg.Packing(5, 8), [0, 1, 2, 390624, 77777, 1]
     for dual, against in ((True, ctx.basis), (False, ctx.dual_basis)):

@@ -49,14 +49,21 @@ def _field_flags(sub) -> None:
 def _dumps(v, pad: str = "\n") -> str:
     """json.dumps(v, indent=2), byte for byte, without its generator machinery: lists,
     tuples and str-keyed dicts are laid out here, ints and strs written as json writes
-    them, and any other value is left to json.dumps."""
+    them (a list of exact ints by one join, a dict's int values inline), and any other
+    value is left to json.dumps."""
     inner = pad + "  "
     if type(v) is int or type(v) is str:
         return int.__repr__(v) if type(v) is int else encode_basestring_ascii(v)
     if isinstance(v, (list, tuple)):
+        if {*map(type, v)} == {int}:  # exact ints: a bool or an int subclass is not one
+            return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + pad + "]"
         items, ends = [_dumps(x, inner) for x in v], "[]"
     elif isinstance(v, dict) and all(type(k) is str for k in v):
-        items = [encode_basestring_ascii(k) + ": " + _dumps(x, inner) for k, x in v.items()]
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (int.__repr__(x) if type(x) is int else _dumps(x, inner))
+            for k, x in v.items()
+        ]
         ends = "{}"
     else:
         return json.dumps(v, indent=2).replace("\n", pad)  # strings hold no raw newline

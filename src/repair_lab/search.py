@@ -32,8 +32,11 @@ among the tied orbits' members.  A tie's rows are read off its counter digits;
 a scaling is B-linear in the e_{d,u} coordinates, and psi_d, the table of
 a -> a * (x - alpha*)^d in linalg's row format (column 0 most significant, so
 integer order is tuple order), gives each c's table g * c^d e_{d,u} =
-psi_d[g c^d b_u]: an image row is a sum of entries, and linalg's one
-elimination reduces each image's rows.
+psi_d[g c^d b_u]: an image row is a sum of entries.  Row 0 of an image's basis
+leads at its largest row's leading field (not bit: an odd-q digit spans bits),
+so an image leading above the best so far is dropped.  At alpha* = 0 each
+image's constant-term fields are the identity (every A_d(b_t) term carries x^d,
+d >= 1), so it is already reduced, its own key; elsewhere linalg reduces it.
 
 A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
 at interactive scale.
@@ -141,10 +144,10 @@ def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
     return RepairScheme(code, star, duals)
 
 
-def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing):
-    """Reduced-echelon bases, packed by pk (width r*ell) over the basis[t] * x^d,
-    of each tie (slice, counter) and, outside the A_1 = 0 slice, of all its
-    q^ell - 1 scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole)."""
+def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> list[int]:
+    """The least reduced-echelon basis, packed by pk (width r*ell) over the basis[t] * x^d,
+    among the ties' images: each tie (slice, counter) and, outside the A_1 = 0 slice, its
+    q^ell - 1 scalings A_d -> c^d A_d (which are reduced: see the module docstring)."""
     q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
     # (x - alpha*)^d as x^j coefficients, j < r, times each monomial q^i
     powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
@@ -163,13 +166,20 @@ def _orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing):
             for cb in [ctx.mul(ctx.power(c, d), b) for b in ctx.basis]
             for g in range(q)
         ]
-    one = ctx.basis_coords(1)
+    one, full = ctx.basis_coords(1), r * ell * pk.b
+    best, limit = [1 << full], full  # best is above every key, limit the bits to its lead
     for s, counter in ties:
         graph = [[c * q + g for c, g in row] for row in _graph(ctx, r, s, counter, one)]
         for c in tables if s < ell else (1,):
             entry = tables[c].__getitem__
             image = [reduce(pk.add, map(entry, row)) for row in graph]
-            yield back_substitute(pk, echelon(pk, image))
+            if limit < full and max(image) >> limit:  # leads above best
+                continue
+            if shift:  # at alpha* = 0 every image is already reduced
+                image = back_substitute(pk, echelon(pk, image))
+            if image < best:
+                best, limit = image, -(-image[0].bit_length() // pk.b) * pk.b
+    return best
 
 
 # ---- the scan ----------------------------------------------------------------------
@@ -354,7 +364,7 @@ def min_io_exhaustive(
     cost = min(best for _, _, best, _ in results)
     ties = [tie for _, _, best, found in results if best == cost for tie in found]
     pk = Packing(q, r * ell)
-    key = min(_orbit_keys(ctx, r, star, ties, pk))
+    key = _witness_key(ctx, r, star, ties, pk)
     scheme = _rows_to_scheme(ctx, [pk.unpack(v) for v in key], r, star)
     if scheme.validate() is not None or scheme.io_cost_direct() != cost:
         raise VerificationError("witness scheme does not reproduce the minimum")

@@ -13,11 +13,11 @@ from repair_lab import linalg
 from repair_lab.fieldmath import (
     FieldContext, _is_prime, poly_deg, poly_eval, poly_shift, poly_trim,
 )
-from repair_lab.linalg import Packing
+from repair_lab.linalg import Packing, back_substitute, echelon
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _cells, _rows_to_scheme
+from repair_lab.search import _cells, _graph, _rows_to_scheme
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -525,3 +525,36 @@ def orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):
             g += [0] * (r - len(g))
             rows.append([x for a in g for x in ctx.basis_coords(a)])
         yield tuple(x for row in rref(rows, ctx.q)[0] for x in row)
+
+
+def packed_orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing, reduce_=True):
+    """Reduced-echelon bases, packed by pk (width r*ell) over the basis[t] * x^d,
+    of each tie (slice, counter) and, outside the A_1 = 0 slice, of all its
+    q^ell - 1 scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole): the
+    witness's candidates, every image reduced (or, without `reduce_`, as built).
+    The library's tables, built the same way, but no image is skipped."""
+    q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
+    # (x - alpha*)^d as x^j coefficients, j < r, times each monomial q^i
+    powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
+    images = [[[ctx.mul(q**i, p) for p in ps] for i in range(ell)] for ps in powers]
+    texts = ctx.coord_rows([a for image in images for row in image for a in row])[1]
+    # psi[d][a]: a * (x - alpha*)^d packed over the basis[t] * x^j, B-linear in a
+    psi = [
+        ctx._linear_table([int("".join(map(texts.__getitem__, row)), 2) for row in image], pk.add)
+        for image in images
+    ]
+    tables = {}  # per c, g * c^d e_{d,u} packed, at index (d*ell + u)*q + g
+    for c in range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,):
+        tables[c] = [
+            psi_d[ctx.mul(g, cb)]
+            for d, psi_d in enumerate(psi)
+            for cb in [ctx.mul(ctx.power(c, d), b) for b in ctx.basis]
+            for g in range(q)
+        ]
+    one = ctx.basis_coords(1)
+    for s, counter in ties:
+        graph = [[c * q + g for c, g in row] for row in _graph(ctx, r, s, counter, one)]
+        for c in tables if s < ell else (1,):
+            entry = tables[c].__getitem__
+            image = [reduce(pk.add, map(entry, row)) for row in graph]
+            yield back_substitute(pk, echelon(pk, image)) if reduce_ else image

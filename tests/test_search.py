@@ -20,7 +20,8 @@ from repair_lab.search import (
 )
 
 from oracles import (
-    iter_echelon_bases, iter_valid_schemes, orbit_keys, pattern_scan, plain_scan,
+    iter_echelon_bases, iter_valid_schemes, orbit_keys, packed_orbit_keys, pattern_scan,
+    plain_scan,
 )
 
 GF4 = FieldContext(2, 2)
@@ -237,7 +238,7 @@ def test_visited_orbits_cover_every_valid_scheme_once(ctx, r, star):
     ]
     images = Counter(
         tuple(x for v in key for x in pk.unpack(v))
-        for key in search._orbit_keys(ctx, r, star, visited, pk)
+        for key in packed_orbit_keys(ctx, r, star, visited, pk)
     )
     valid = {
         sum(rows, ())
@@ -269,10 +270,59 @@ def test_packed_orbit_keys_match_the_polynomial_oracle(data):
         min_size=1, max_size=4,
     ))
     pk = Packing(ctx.q, r * ctx.ell)
-    key = min(search._orbit_keys(ctx, r, star, ties, pk))
+    key = search._witness_key(ctx, r, star, ties, pk)
     assert tuple(x for v in key for x in pk.unpack(v)) == min(
         k for tie in ties for k in orbit_keys(ctx, r, star, *tie)
     )
+
+
+@pytest.mark.parametrize(
+    "ctx,r",
+    [
+        pytest.param(GF8, 3, id="q2-ell3-r3"),
+        pytest.param(FieldContext(3, 3), 2, id="q3-ell3-r2"),
+        pytest.param(FieldContext(2, 4), 2, id="q2-ell4-r2"),
+        pytest.param(FieldContext(7, 2), 3, id="q7-ell2-r3"),
+        pytest.param(FieldContext(2, 3, [1, 0, 1, 1], [3, 5, 7]), 3, id="gf8-modulus-basis-r3"),
+        pytest.param(FieldContext(3, 2, None, [2, 4]), 3, id="gf9-basis-r3"),
+    ],
+)
+def test_witness_key_is_the_least_of_every_image(ctx, r):
+    # images leading at a later field go unreduced, and at node 1 none is reduced;
+    # the key must still be the least over every tie's every image, at every node
+    pk = Packing(ctx.q, r * ctx.ell)
+    slices = search._slices(ctx.ell, r, ctx.q)
+    for star in range(1, ctx.order + 1):
+        ties = search._scan(ctx, r, star, slices)[3]
+        assert search._witness_key(ctx, r, star, ties, pk) == min(
+            packed_orbit_keys(ctx, r, star, ties, pk)
+        )
+
+
+@pytest.mark.parametrize("ctx,r", [(GF4, 3), (GF8, 2), (GF9, 2), (FieldContext(3, 2, None, [2, 4]), 2),
+                                   (FieldContext(2, 3, [1, 0, 1, 1], [3, 5, 7]), 2)])
+def test_witness_key_over_every_visited_orbit(ctx, r):
+    # every visited scheme as a tie, so images leading at every field compete
+    pk = Packing(ctx.q, r * ctx.ell)
+    visited = [(s, t) for s, start, stop in search._slices(ctx.ell, r, ctx.q)
+               for t in range(start, stop)]
+    for star in range(1, ctx.order + 1):
+        assert search._witness_key(ctx, r, star, visited, pk) == min(
+            packed_orbit_keys(ctx, r, star, visited, pk)
+        )
+
+
+@pytest.mark.parametrize("ctx,r", [(GF4, 3), (GF8, 2), (GF9, 2), (FieldContext(5, 2), 2),
+                                   (FieldContext(3, 2, None, [2, 4]), 3),
+                                   (FieldContext(2, 3, [1, 0, 1, 1], [3, 5, 7]), 2)])
+def test_every_image_is_already_reduced_at_node_1(ctx, r):
+    # at alpha* = 0 the witness takes each image as built, unreduced
+    pk = Packing(ctx.q, r * ctx.ell)
+    visited = [(s, t) for s, start, stop in search._slices(ctx.ell, r, ctx.q)
+               for t in range(start, stop)]
+    for star, reduced in [(1, True), (2, False)]:
+        built = list(packed_orbit_keys(ctx, r, star, visited, pk, reduce_=False))
+        assert (built == list(packed_orbit_keys(ctx, r, star, visited, pk))) == reduced
 
 
 def _substitute(scheme, c):

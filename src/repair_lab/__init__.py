@@ -6,8 +6,8 @@ routes to the I/O cost (direct column counting and the weight-of-rowspace formul
 It also builds low-I/O schemes from subspace-annihilating linearized polynomials
 and searches scheme space exhaustively for certified minima.
 """
-from .fieldmath import FieldContext, coset_weight
-from .linalg import rank
+from .fieldmath import FieldContext
+from .linalg import coset_weight, rank
 from .rs import RSCode
 from .scheme import RepairScheme
 from .qpoly import qp_image, solve_annihilator, subspace_intersect_kernels

@@ -429,28 +429,6 @@ def field_context(q, ell, modulus=None, basis=None) -> FieldContext:
     return _SHARED[key]
 
 
-# ---- vectors over the subfield ------------------------------------------------
-
-
-def coset_weight(rows: list[list[int]], y: list[int] | None, q: int) -> tuple[int, int]:
-    """Support size and total Hamming weight of the coset y + rowspace(rows).
-
-    rows must be linearly independent over Z_q (ValueError otherwise).  With k
-    independent rows and s = #nonzero columns, the rowspace alone weighs
-    s * q^(k-1) * (q-1); every coordinate outside those columns where y is nonzero
-    adds a further q^k.  Computed in closed form — no vector enumeration.
-    """
-    k = len(rows)
-    if linalg.rank(rows, q) != k:
-        raise ValueError("rows are not linearly independent")
-    supp = set(linalg.nonzero_columns(rows))
-    total = len(supp) * q ** (k - 1) * (q - 1)
-    if y is not None:
-        extra = sum(1 for j, v in enumerate(y) if v % q and j not in supp)
-        total += extra * q**k
-    return len(supp), total
-
-
 # ---- polynomials over F (coefficient lists, ascending) -------------------------
 
 

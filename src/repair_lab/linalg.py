@@ -5,12 +5,13 @@ significant, so integer order is tuple order and the leading column is read off
 the bit length.  The one elimination is `echelon`, a forward pass keeping a pivot
 per leading field, and `back_substitute`, its reduced form; rank, rref, inverse
 and nullspace pack their list rows and run it, and the search and the scheme
-costing hand it rows they packed.  No floating point anywhere in this package.
+costing hand it rows they packed; `coset_weight` weighs a coset of their row space
+in closed form.  No floating point anywhere in this package.
 """
 from __future__ import annotations
 
 from functools import reduce
-from operator import xor
+from operator import or_, xor
 
 
 class Packing:
@@ -102,6 +103,20 @@ def back_substitute(pk: Packing, pivots: dict[int, int]) -> list[int]:
     return sorted(done.values(), reverse=True)
 
 
+def coset_weight(pk: Packing, rows: list[int], y: int | None = None) -> tuple[int, int]:
+    """Support size and total Hamming weight of the coset y + rowspace(rows), rows
+    and y packed by pk.  k rows independent over Z_q (ValueError otherwise) with s
+    nonzero columns weigh s * q^(k-1) * (q-1) in all, and each further column
+    where y is nonzero adds q^k: a closed form, no vector is enumerated."""
+    k, q = len(rows), pk.q
+    if len(echelon(pk, rows)) != k:
+        raise ValueError("rows are not linearly independent")
+    supp = pk.nonzero(reduce(or_, rows, 0))
+    extra = 0 if y is None else (pk.nonzero(y) & ~supp).bit_count()
+    s = supp.bit_count()
+    return s, s * q**k // q * (q - 1) + extra * q**k
+
+
 def _pivots(rows: list[list[int]], p: int) -> tuple[Packing, dict[int, int]]:
     pk = Packing(p, len(rows[0]) if rows else 0)
     return pk, echelon(pk, [pk.pack(row) for row in rows])
@@ -142,8 +157,3 @@ def nullspace(a: list[list[int]], p: int) -> list[list[int]]:
             v[c] = (-row[f]) % p
         basis.append(v)
     return basis
-
-
-def nonzero_columns(rows: list[list[int]]) -> list[int]:
-    """Indices of columns holding at least one nonzero entry."""
-    return [c for c, nz in enumerate(map(any, zip(*rows))) if nz]

@@ -45,50 +45,29 @@ def qp_image(ctx: FieldContext, thetas) -> tuple[int, ...]:
     return canonical_subspace_basis(ctx, (qp_eval(ctx, thetas, b) for b in ctx.basis))
 
 
-def _solve_square_field(ctx: FieldContext, m: list[list[int]], rhs: list[int]) -> list[int]:
-    """z with m z = rhs over F, m square and invertible, solved over B: unknown
-    (j, u) is coordinate u of z_j, and equation (i, d) is digit d of row i."""
-    t, ell = len(m), ctx.ell
-    rows = []
-    for row, r in zip(m, rhs):
-        columns = [ctx.digits(ctx.mul(a, b)) for a in row for b in ctx.basis]
-        rows += map(list, zip(*columns, ctx.digits(r)))
-    red, pivots = linalg.rref(rows, ctx.q)
-    if pivots != list(range(t * ell)):
-        raise ValueError("singular system")
-    z = [row[-1] for row in red]
-    return [ctx.from_basis_coords(z[j * ell : (j + 1) * ell]) for j in range(t)]
-
-
 def solve_annihilator(ctx: FieldContext, betas) -> list[int]:
     """Monic linearized polynomial L of q-degree t = len(betas) whose values are
     trace-orthogonal to every beta: Tr(beta_i * L(x)) = 0 for all x, so that the
     image of L is the intersection of the hyperplanes beta_i^{-1} ker(Tr).
 
-    The condition is one q-power equation per beta.  It is solved in the
-    substituted unknowns z_j = theta_{t-j}^(q^j) with z_0 = theta_t fixed to 1
-    (the remaining square system is a Moore matrix of the beta^q, hence
-    invertible for independent betas); the substitution is undone with inverse
-    Frobenius powers.  With no betas the identity map x is returned.
+    In the substituted coefficients z_j = theta_{t-j}^(q^j) the condition reads
+    Z(beta_i) = 0 for Z(y) = sum_j z_j y^(q^j): Z, scaled to z_0 = theta_t = 1, is
+    the subspace polynomial of span(beta) (Lidl-Niederreiter, Finite Fields, ch. 3),
+    built by P <- P^q - P(beta)^(q-1) * P from P = y, one beta at a time (P(beta) = 0
+    means beta is in the span of the earlier ones).  Inverse Frobenius powers undo
+    the substitution.  With no betas the identity map x is returned.
     """
     betas = list(betas)
-    t = len(betas)
-    if t >= ctx.ell:
+    if len(betas) >= ctx.ell:
         raise ValueError(f"at most ell-1={ctx.ell - 1} constraints are solvable")
-    if t == 0:
-        return [1]
-    coords = [list(ctx.digits(b)) for b in betas]
-    if linalg.rank(coords, ctx.q) != t:
-        raise ValueError("betas are linearly dependent over the subfield")
-    # row i: [beta_i^(q^0), ..., beta_i^(q^t)] . (z_0, ..., z_t) = 0
-    rows = [[ctx.frobenius(b, j) for j in range(t + 1)] for b in betas]
-    rhs = [ctx.neg(row[0]) for row in rows]
-    sub = [[row[j] for j in range(1, t + 1)] for row in rows]
-    z = _solve_square_field(ctx, sub, rhs)  # z_1..z_t
-    thetas = [0] * (t + 1)
-    thetas[t] = 1
-    for j in range(1, t + 1):
-        thetas[t - j] = ctx.frobenius(z[j - 1], ctx.ell - j)
+    p = [1]  # q-power coefficients of P, ascending
+    for b in betas:
+        v = qp_eval(ctx, p, b)
+        if v == 0:
+            raise ValueError("betas are linearly dependent over the subfield")
+        c = ctx.power(v, ctx.q - 1)
+        p = [ctx.sub(ctx.frobenius(hi), ctx.mul(c, lo)) for hi, lo in zip([0] + p, p + [0])]
+    thetas = [ctx.frobenius(ctx.div(z, p[0]), ctx.ell - j) for j, z in enumerate(p)][::-1]
     for e in ctx.basis:
         val = qp_eval(ctx, thetas, e)
         for b in betas:

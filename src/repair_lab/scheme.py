@@ -19,7 +19,7 @@ Both read one packed I/O table (_table), built once per scheme on first use from
 FieldContext.coord_rows: the ell stacked rows, every node's ell rows (its rank is one
 linalg.echelon run) and every node's read columns, the nonzero fields of the OR of
 its rows.  The direct route reads those columns; the formula route only the stacked
-rows: their rank by echelon and the count of their nonzero fields.
+rows, whose row-space weight linalg.coset_weight gives in closed form.
 
 Repair reads the stacked rows too.  With the failed node's fields cleared, row j
 splits into bit planes R_{j,b} = (row_j >> b) & ones, b < bitlen(q - 1), and the read
@@ -169,17 +169,13 @@ class RepairScheme:
 
     def io_cost_formula(self) -> int:
         """I/O cost via the row-space weight of the stacked matrix, from its packed
-        rows alone: k independent rows with s nonzero columns weigh s * q^(k-1) * (q-1)
-        in all, so the weight / (q^(ell-1) * (q-1)) counts the nonzero columns; the
-        failed node always contributes exactly ell of them.  The division must be
-        exact — a remainder means the implementation is inconsistent."""
+        rows alone (linalg.coset_weight): the weight / (q^(ell-1) * (q-1)) counts
+        the nonzero columns, and the failed node always contributes exactly ell of
+        them.  The division must be exact — a remainder means the implementation
+        is inconsistent."""
         self.require_valid()
-        q, ell, stacked = self.ctx.q, self.ctx.ell, self._table[0]
-        pk = linalg.Packing(q, self.code.n * ell)
-        k = len(linalg.echelon(pk, stacked))
-        if k != len(stacked):
-            raise ValueError("rows are not linearly independent")
-        total = pk.nonzero(reduce(or_, stacked)).bit_count() * q ** (k - 1) * (q - 1)
+        q, ell = self.ctx.q, self.ctx.ell
+        total = linalg.coset_weight(linalg.Packing(q, self.code.n * ell), self._table[0])[1]
         denom = q ** (ell - 1) * (q - 1)
         if total % denom:
             raise ArithmeticError(f"row-space weight {total} not divisible by {denom}")

@@ -102,15 +102,15 @@ def _slices(ell: int, r: int, q: int) -> list[tuple[int, int, int]]:
     return [(s, 0, q ** len(_cells(s, ell, r))) for s in range(ell + 1)]
 
 
-def _graph(ctx: FieldContext, r: int, s: int, counter: int, one) -> list[list[tuple[int, int]]]:
-    """Slice s's scheme at a Gray counter: each row's nonzero entries, as
-    (e_{d,u} index d*ell + u, digit) pairs; `one` is ctx.basis_coords(1)."""
+def _graph(ctx: FieldContext, cells, s: int, counter: int, one) -> list[list[tuple[int, int]]]:
+    """Slice s's scheme at a Gray counter, over its `cells`: each row's nonzero
+    entries, as (e_{d,u} index d*ell + u, digit) pairs; `one` is ctx.basis_coords(1)."""
     q, ell = ctx.q, ctx.ell
     rows = [[(t, 1)] for t in range(ell)]
     if s < ell:
         rows[s] += [(ell + u, g) for u, g in enumerate(one) if g]
     digit = counter % q
-    for t, c in _cells(s, ell, r):  # a digit past the last cell is 0
+    for t, c in cells:  # a digit past the last cell is 0
         counter //= q
         if g := (digit - counter % q) % q:
             rows[t].append((c, g))
@@ -167,9 +167,10 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
             for g in range(q)
         ]
     one, full = ctx.basis_coords(1), r * ell * pk.b
+    cells = [_cells(s, ell, r) for s in range(ell + 1)]
     best, limit = [1 << full], full  # best is above every key, limit the bits to its lead
     for s, counter in ties:
-        graph = [[c * q + g for c, g in row] for row in _graph(ctx, r, s, counter, one)]
+        graph = [[c * q + g for c, g in row] for row in _graph(ctx, cells[s], s, counter, one)]
         for c in tables if s < ell else (1,):
             entry = tables[c].__getitem__
             image = [reduce(pk.add, map(entry, row)) for row in graph]
@@ -252,8 +253,8 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
         w = max([0] + [v for v in range(1, m + 1) if q ** (v + 1) <= _BLOCK_BUDGET])
         width, block, fold = q**w, q**m, w == m
         a = [start // q**j % q for j in range(len(cells))] + [0]
-        rows = [pack(row) for row in _graph(ctx, r, s, start, one)]
-        base = pack(_graph(ctx, r, s, 0, one)[fast])
+        rows = [pack(row) for row in _graph(ctx, cells, s, start, one)]
+        base = pack(_graph(ctx, cells, s, 0, one)[fast])
         hi = pack([(c, (a[j] - a[j + 1]) % q) for j, (_, c) in enumerate(cells[w:m], w)],
                   0 if fold else base)
         resets = [0] * q if fold else list(

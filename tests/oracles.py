@@ -159,6 +159,11 @@ def qp_kernel(ctx: FieldContext, thetas) -> tuple[int, ...]:
 # ---- linear algebra ------------------------------------------------------------------
 
 
+def nonzero_columns(rows: list[list[int]]) -> list[int]:
+    """Indices of columns holding at least one nonzero entry."""
+    return [c for c, nz in enumerate(map(any, zip(*rows))) if nz]
+
+
 def rref(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form over Z_p by Gauss-Jordan on lists of rows, the
     reference for the library's packed elimination.  Returns (nonzero rows,
@@ -553,7 +558,8 @@ def packed_orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing, r
         ]
     one = ctx.basis_coords(1)
     for s, counter in ties:
-        graph = [[c * q + g for c, g in row] for row in _graph(ctx, r, s, counter, one)]
+        rows = _graph(ctx, _cells(s, ell, r), s, counter, one)
+        graph = [[c * q + g for c, g in row] for row in rows]
         for c in tables if s < ell else (1,):
             entry = tables[c].__getitem__
             image = [reduce(pk.add, map(entry, row)) for row in graph]

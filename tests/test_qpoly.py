@@ -18,6 +18,8 @@ from oracles import qp_kernel, subspace_elements
 
 GF8 = FieldContext(2, 3)
 GF27 = FieldContext(3, 3)
+# odd q at ell = 2, a non-polynomial basis, and a field with no tables (order > 2^16)
+MORE = (FieldContext(5, 2), FieldContext(7, 2), FieldContext(2, 3, basis=[3, 2, 4]), FieldContext(2, 17))
 
 
 def _random_independent_betas(rng, ctx, t):
@@ -152,15 +154,30 @@ def test_solver_rejects_bad_input():
         solve_annihilator(GF8, [5, 5])
     with pytest.raises(ValueError, match="dependent"):
         solve_annihilator(GF27, [1, 2])  # 2 = 2 * 1 over GF(3)
+    gf81 = FieldContext(3, 4)  # three constraints need ell >= 4
+    with pytest.raises(ValueError, match="dependent"):  # beta_3 = beta_1 + 2 beta_2
+        solve_annihilator(gf81, [5, 9, gf81.add(5, gf81.mul(2, 9))])
+    rng = random.Random(19)
+    for ctx in MORE:
+        with pytest.raises(ValueError, match="ell"):
+            solve_annihilator(ctx, _random_independent_betas(rng, ctx, ctx.ell))
+        with pytest.raises(ValueError, match="dependent"):
+            solve_annihilator(ctx, [0])
+        if ctx.ell > 2:
+            b = _random_independent_betas(rng, ctx, 1)[0]
+            with pytest.raises(ValueError, match="dependent"):
+                solve_annihilator(ctx, [b, ctx.mul(ctx.q - 1, b)])
 
 
 def test_solver_values_are_trace_orthogonal():
     rng = random.Random(17)
-    for ctx in (GF8, GF27):
+    for ctx in (GF8, GF27, *MORE):
+        # L is B-linear: past the tables, its values at the basis settle every value
+        points = range(ctx.order) if ctx.order <= 1 << 16 else ctx.basis
         for t in range(1, ctx.ell):
             betas = _random_independent_betas(rng, ctx, t)
             thetas = solve_annihilator(ctx, betas)
-            for a in range(ctx.order):
+            for a in points:
                 v = qp_eval(ctx, thetas, a)
                 for b in betas:
                     assert ctx.trace(ctx.mul(b, v)) == 0

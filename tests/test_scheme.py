@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 
 from repair_lab import linalg
 from repair_lab.construction import build_low_io_scheme
-from repair_lab.fieldmath import FieldContext, coset_weight, poly_shift
+from repair_lab.fieldmath import FieldContext, poly_shift
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
 
-from oracles import io_matrix_oracle, iter_valid_schemes, repair_transcript_oracle
+from oracles import (
+    io_matrix_oracle, iter_valid_schemes, nonzero_columns, repair_transcript_oracle,
+)
 from oracles import rref as list_rref
 
 GF4 = FieldContext(2, 2)
@@ -112,7 +114,7 @@ def test_io_matrix_full_rank_at_failed_node():
     for scheme in _random_valid_schemes(GF8, 3, 10, seed=21):
         w = scheme.io_matrix(scheme.star)
         assert linalg.rank(w, 2) == 3
-        assert len(linalg.nonzero_columns(w)) == 3
+        assert len(nonzero_columns(w)) == 3
 
 
 def test_accessed_subsymbols():
@@ -149,7 +151,7 @@ def test_io_table_matches_the_direct_expansion():
             assert scheme.io_matrix(i) == oracle[i]
         helpers = scheme.helpers()
         ranks = [len(list_rref(oracle[i], q)[0]) for i in helpers]
-        cols = [[c + 1 for c in linalg.nonzero_columns(oracle[i])] for i in helpers]
+        cols = [[c + 1 for c in nonzero_columns(oracle[i])] for i in helpers]
         assert scheme.bandwidth() == sum(ranks)
         assert scheme.io_cost_direct() == sum(len(c) for c in cols)
         report = scheme.cost_report()
@@ -293,7 +295,7 @@ def test_stacked_matrix_bookkeeping():
     for scheme in _random_valid_schemes(GF8, 2, 20, seed=24):
         stacked = scheme.stacked_io_matrix()
         assert len(stacked) == 3 and len(stacked[0]) == 8 * 3
-        nz = len(linalg.nonzero_columns(stacked))
+        nz = len(nonzero_columns(stacked))
         assert nz == scheme.ctx.ell + scheme.io_cost_direct()
 
 
@@ -309,7 +311,8 @@ def test_rowspace_weight_matches_enumeration():
                 for t in range(len(stacked[0]))
             ]
             total += sum(1 for x in v if x)
-        assert total == coset_weight(stacked, None, q)[1]
+        pk = linalg.Packing(q, len(stacked[0]))
+        assert total == linalg.coset_weight(pk, [pk.pack(row) for row in stacked])[1]
         assert scheme.io_cost_formula() == total // (q ** (ell - 1) * (q - 1)) - ell
 
 

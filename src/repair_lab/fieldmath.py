@@ -235,11 +235,12 @@ class FieldContext:
 
     # ---- tables ------------------------------------------------------------
 
-    def _linear_table(self, images, add) -> list[int]:
+    def _linear_table(self, images, add, start=0) -> list[int]:
         """Values at every element of the B-linear map with values `images` at
-        the monomials q^0 .. q^(ell-1), given the addition of its values: the
-        block [d*q^h, (d+1)*q^h) is the block below it plus f(q^h)."""
-        table = [0]
+        the monomials q^0 .. q^(ell-1), given the addition of its values, each
+        plus `start`: the block [d*q^h, (d+1)*q^h) is the block below it plus
+        f(q^h)."""
+        table = [start]
         for image in images:
             size = len(table)
             for _ in range(self.q - 1):

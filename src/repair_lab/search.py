@@ -16,27 +16,27 @@ orbit with A_1 != 0 has q^ell - 1 members and exactly one whose first nonzero
 A_1(b_t) is the field's 1, so slice t0 (t0 = 0..ell-1) fixes A_1(b_t) = 0 for
 t < t0 and A_1(b_t0) = 1; one more slice holds A_1 = 0 whole (its orbits stay
 in it).  The scan visits q^(ell^2 (r-2)) * ((q^(ell^2) - 1)/(q^ell - 1) + 1)
-schemes, a packed modular q-ary Gray walk over each slice's free cells; a
-per-slice table of the fast row's low part lets one comprehension cost a whole
-aligned block of counters, so only the digits above it are walked in Python.
-The walk is an exact branch and bound: a scheme's cost is the nonzero-field
-count of its rows' OR, less ell, and an OR only gains weight, so the slow rows
-alone bound every scheme in a block of fast-row counters; a block whose bound
-exceeds the best cost so far (strictly, so every tie is still scored) is
-skipped but counted as visited.  The slices' Gray-counter ranges, laid end to
-end, are cut into equal contiguous loads for the worker processes (the CPU
-count and REPAIR_LAB_THREADS cap them); each keeps its least cost and every
-(slice, counter) reaching it.  The witness, whatever the worker count, is the
-lexicographically smallest reduced-echelon basis (over the basis[t] * x^d)
-among the tied orbits' members.  A tie's rows are read off its counter digits;
-a scaling is B-linear in the e_{d,u} coordinates, and psi_d, the table of
-a -> a * (x - alpha*)^d in linalg's row format (column 0 most significant, so
-integer order is tuple order), gives each c's table g * c^d e_{d,u} =
-psi_d[g c^d b_u]: an image row is a sum of entries.  Row 0 of an image's basis
-leads at its largest row's leading field (not bit: an odd-q digit spans bits),
-so an image leading above the best so far is dropped.  At alpha* = 0 each
-image's constant-term fields are the identity (every A_d(b_t) term carries x^d,
-d >= 1), so it is already reduced, its own key; elsewhere linalg reduces it.
+schemes, a plain base-q counter over each slice's free cells, walked depth first
+from row 0 down to the fast row ell-1 over a table of each row's values.  The
+walk is an exact branch and bound: a scheme's cost is the nonzero-field count of
+its rows' OR, less ell, and an OR only gains weight, so the rows above a subtree
+bound every scheme in it; a subtree whose bound exceeds the best cost so far
+(strictly, so every tie is still scored) is skipped but counted as visited.  The
+slices' counter ranges, laid end to end, are cut into equal contiguous loads for
+the worker processes (the CPU count and REPAIR_LAB_THREADS cap them); each keeps
+its least cost and every (slice, counter) reaching it.  The witness, whatever
+the worker count, is the lexicographically smallest reduced-echelon basis (over
+the basis[t] * x^d) among the tied orbits' members.  A tie's rows are read off
+its counter digits; a scaling is B-linear in the e_{d,u} coordinates, and psi_d,
+the table of a -> a * (x - alpha*)^d in linalg's row format (column 0 most
+significant, so integer order is tuple order), gives each c's table
+g * c^d e_{d,u} = psi_d[g c^d b_u]: an image row is a sum of entries, and with
+every c's entry side by side in one integer, one sum per row gives that row of
+every image.  Row 0 of an image's basis leads at its largest row's leading
+field (not bit: an odd-q digit spans bits), so an image leading above the best
+so far is dropped.  At alpha* = 0 each image's constant-term fields are the
+identity (every A_d(b_t) term carries x^d, d >= 1), so it is already reduced,
+its own key; elsewhere linalg reduces it.
 
 A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
 at interactive scale.
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import os
 from functools import reduce
-from itertools import accumulate, chain, repeat
+from itertools import chain, count, repeat
 from operator import or_
 
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
@@ -56,7 +56,7 @@ from .scheme import RepairScheme
 
 SUBSPACE_CAP = 10_000_000
 _PARALLEL_THRESHOLD = 50_000
-_BLOCK_BUDGET = 1 << 14  # entries of _scan's table of fast-row values, q^(w+1)
+_BLOCK_BUDGET = 1 << 14  # entries of any one of _scan's row tables, q^w
 
 
 class VerificationError(Exception):
@@ -98,23 +98,22 @@ def _cells(s: int, ell: int, r: int) -> list[tuple[int, int]]:
 
 
 def _slices(ell: int, r: int, q: int) -> list[tuple[int, int, int]]:
-    """Every slice's whole Gray-counter range, (slice, 0, q^(free cells))."""
+    """Every slice's whole counter range, (slice, 0, q^(free cells))."""
     return [(s, 0, q ** len(_cells(s, ell, r))) for s in range(ell + 1)]
 
 
 def _graph(ctx: FieldContext, cells, s: int, counter: int, one) -> list[list[tuple[int, int]]]:
-    """Slice s's scheme at a Gray counter, over its `cells`: each row's nonzero
-    entries, as (e_{d,u} index d*ell + u, digit) pairs; `one` is ctx.basis_coords(1)."""
+    """Slice s's scheme at a counter, whose base-q digit j is the value of cell j
+    of its `cells`: each row's nonzero entries, as (e_{d,u} index d*ell + u,
+    digit) pairs; `one` is ctx.basis_coords(1)."""
     q, ell = ctx.q, ctx.ell
     rows = [[(t, 1)] for t in range(ell)]
     if s < ell:
         rows[s] += [(ell + u, g) for u, g in enumerate(one) if g]
-    digit = counter % q
-    for t, c in cells:  # a digit past the last cell is 0
-        counter //= q
-        if g := (digit - counter % q) % q:
+    for t, c in cells:
+        counter, g = divmod(counter, q)
+        if g:
             rows[t].append((c, g))
-        digit = counter % q
     return rows
 
 
@@ -147,7 +146,9 @@ def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
 def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> list[int]:
     """The least reduced-echelon basis, packed by pk (width r*ell) over the basis[t] * x^d,
     among the ties' images: each tie (slice, counter) and, outside the A_1 = 0 slice, its
-    q^ell - 1 scalings A_d -> c^d A_d (which are reduced: see the module docstring)."""
+    q^ell - 1 scalings A_d -> c^d A_d (which are reduced: see the module docstring).  A
+    tie's rows for every scaling come from one sum per row, under
+    Packing(q, r*ell*(q^ell - 1))."""
     q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
     # (x - alpha*)^d as x^j coefficients, j < r, times each monomial q^i
     powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
@@ -158,28 +159,36 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
         ctx._linear_table([int("".join(map(texts.__getitem__, row)), 2) for row in image], pk.add)
         for image in images
     ]
-    tables = {}  # per c, g * c^d e_{d,u} packed, at index (d*ell + u)*q + g
-    for c in range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,):
-        tables[c] = [
+    scalings = range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,)
+    tables = [  # per c, g * c^d e_{d,u} packed, at index (d*ell + u)*q + g
+        [
             psi_d[ctx.mul(g, cb)]
             for d, psi_d in enumerate(psi)
             for cb in [ctx.mul(ctx.power(c, d), b) for b in ctx.basis]
             for g in range(q)
         ]
-    one, full = ctx.basis_coords(1), r * ell * pk.b
+        for c in scalings
+    ]
+    # every c's entry side by side, c = 1 most significant: one sum gives every image's row
+    full, lanes = r * ell * pk.b, len(scalings)
+    wide = Packing(q, r * ell * lanes)
+    entry = [reduce(lambda v, x: v << full | x, column) for column in zip(*tables)]
+    one, mask = ctx.basis_coords(1), (1 << full) - 1
     cells = [_cells(s, ell, r) for s in range(ell + 1)]
-    best, limit = [1 << full], full  # best is above every key, limit the bits to its lead
+    best, above = [1 << full], 0  # best is above every key; `above`, the bits above its lead
     for s, counter in ties:
-        graph = [[c * q + g for c, g in row] for row in _graph(ctx, cells[s], s, counter, one)]
-        for c in tables if s < ell else (1,):
-            entry = tables[c].__getitem__
-            image = [reduce(pk.add, map(entry, row)) for row in graph]
-            if limit < full and max(image) >> limit:  # leads above best
+        graph = _graph(ctx, cells[s], s, counter, one)
+        rows = [reduce(wide.add, [entry[c * q + g] for c, g in row]) for row in graph]
+        union = reduce(or_, rows)
+        for lane in reversed(range(lanes)) if s < ell else (lanes - 1,):
+            if union >> lane * full & above:  # leads above best
                 continue
+            image = [v >> lane * full & mask for v in rows]
             if shift:  # at alpha* = 0 every image is already reduced
                 image = back_substitute(pk, echelon(pk, image))
             if image < best:
-                best, limit = image, -(-image[0].bit_length() // pk.b) * pk.b
+                lead = -(-image[0].bit_length() // pk.b) * pk.b  # the bits up to its leading field
+                best, above = image, mask >> lead << lead
     return best
 
 
@@ -207,103 +216,92 @@ def _split(items, workers: int) -> list[list[tuple[int, int, int]]]:
 
 
 def _scan(ctx: FieldContext, r: int, star: int, items):
-    """(count, scored, cost, ties) over (slice, start, stop) Gray-counter
-    ranges: the schemes visited and costed, the least cost among them and every
+    """(count, scored, cost, ties) over (slice, start, stop) counter ranges: the
+    schemes visited and costed, the least cost among them and every
     (slice, counter) reaching it.
 
-    Counter t visits the free-cell digits g_j = (a_j - a_{j+1}) mod q of its
-    base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
-    t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
-    dual-space row is added to one scheme row.  Rows (n*ell subsymbol
-    coordinates) are packed by linalg.Packing.  The cost counts the nonzero
-    fields of the rows' OR, less the ell columns of the failed node.
+    Counter digit j is g_j, the value of the slice's free cell j; `_cells` puts
+    the fast row ell-1 in the lowest digits and row 0 in the highest.  Rows
+    (n*ell subsymbol coordinates) are packed by linalg.Packing, and row t's table
+    holds base_t + sum_j g_j P[c_j] at every base-q index of its digits, so a
+    depth-first walk from row 0 down to the fast row visits the counters in
+    order.  The cost counts the nonzero fields of the rows' OR, less the ell
+    columns of the failed node.
 
-    The fast row's m cells are digits 0..m-1: within an aligned block of q^m
-    counters the slow rows are fixed and the fast row is base + sum_{j<m}
-    g_j P[c_j].  Its part below digit w (the largest w <= m with q^(w+1) <=
-    _BLOCK_BUDGET) depends only on digits 0..w, so L holds it at every
-    a_w * q^w + k, one packed add each in Gray order, and hi the rest (base is
-    folded into L when w = m).  One comprehension over L costs each aligned
-    segment of q^w counters; only digits w and up are carried here.  A fast
-    cell adds to hi, a slow cell to its row, after which hi is the fast row at
-    a_0..a_{m-1} = 0, where only g_{m-1} = -a_m is nonzero.
-
-    The scan is an exact branch and bound.  An OR only gains nonzero fields, so
-    when a slow row has moved (or the range begins) the slow rows' cost bounds
-    the rest of the block; if it exceeds the best cost so far, strictly, the
-    walk jumps to the block's end (or the range's stop).  No skipped scheme
-    could tie, and the best cost is read only at these checks, between
-    segments, so the prunes, the scored schemes and the ties in order are
-    those of a walk costing one scheme at a time.  Skipped schemes still count
-    as visited.
+    The walk is an exact branch and bound.  An OR only gains nonzero fields, so
+    the OR of rows 0..t bounds every scheme below it: at a slow row t one
+    comprehension costs each entry ORed into the prefix, and a subtree whose
+    bound exceeds the best cost so far, strictly, is skipped, so no scheme that
+    could tie is.  At the fast row one comprehension costs every entry in
+    range.  The count adds the costed schemes and each skipped subtree's size
+    within the range.  A table holds at most q^w <= _BLOCK_BUDGET entries: a
+    row with more digits has a table of its w low digits, and each value of its
+    high digits is added to that table, one chunk at a time.
     """
     q, ell = ctx.q, ctx.ell
     P, one = _shifted_rows(ctx, r, star), ctx.basis_coords(1)
     pk = Packing(q, ctx.order * ell)
     add, high, over, shift, nonzero = pk.add, pk.high, pk.over, pk.b - 1, pk.high - pk.ones
+    w = next(v for v in count() if q ** (v + 1) > _BLOCK_BUDGET)
 
-    def pack(row, total=0) -> int:
-        return reduce(add, [P[c] for c, g in row for _ in range(g)], total)
+    def weigh(acc, top, part) -> list[int]:  # the nonzero-field count of acc | (top + v), per v
+        if q == 2:  # a split row is rare at q = 2, and XOR is cheap
+            return [(acc | v).bit_count() for v in ([top ^ v for v in part] if top else part)]
+        if top:  # pk.add inlined: a split row's every entry is summed at every visit
+            return [(((acc | (u := top + v) - (((u + over) & high) >> shift) * q) + nonzero)
+                     & high).bit_count() for v in part]
+        return [(((acc | v) + nonzero) & high).bit_count() for v in part]
+
+    def within(a, b) -> int:  # counters a..b-1 inside the range
+        return min(stop, b) - max(start, a)
+
+    def chunks(t, lo, hi):  # (i, top, part): row t's value at index i + k is top + part[k]
+        low, tops = tables[t]
+        if not tops:  # the row's whole table
+            yield lo, 0, low[lo:hi]
+            return
+        size = len(low)
+        for h in range(lo // size, -(-hi // size)):  # a split row, a value of its high digits each
+            top = reduce(add, [v for j, v in enumerate(tops) for _ in range(h // q**j % q)], 0)
+            a, b = max(lo, h * size), min(hi, h * size + size)
+            yield a, top, low[a - h * size : b - h * size]
+
+    def walk(t, acc, base):  # row t's subtrees from counter base, under the prefix OR acc
+        nonlocal skipped, scored, best, ties
+        size = spans[t]
+        lo, hi = max(0, (start - base) // size), min(counts[t], -(-(stop - base) // size))
+        for i, top, part in chunks(t, lo, hi):
+            costs = weigh(acc, top, part)
+            if t == fast:
+                scored += len(costs)
+                low = min(costs)
+                if low <= best:
+                    if low < best:
+                        best, ties = low, []
+                    ties += [(s, base + k) for k, cost in enumerate(costs, i) if cost == low]
+                continue
+            first = base + i * size  # every subtree is counted; a walked one takes its part back
+            skipped += within(first, first + len(costs) * size)
+            for k in [k for k, bound in enumerate(costs) if bound <= best]:
+                if costs[k] <= best:  # best may have fallen since
+                    a = first + k * size
+                    skipped -= within(a, a + size)
+                    walk(t + 1, acc | add(top, part[k]), a)
 
     fast = ell - 1
-    count, skipped, best, ties = 0, 0, ctx.order * ell, []  # every cost is below n*ell
+    # best: the least nonzero-field count so far, the cost plus ell (every cost is below n*ell)
+    skipped, scored, best, ties = 0, 0, (ctx.order + 1) * ell, []
     for s, start, stop in items:
         cells = _cells(s, ell, r)
-        m = sum(row == fast for row, _ in cells)  # no pruning without fast cells
-        w = max([0] + [v for v in range(1, m + 1) if q ** (v + 1) <= _BLOCK_BUDGET])
-        width, block, fold = q**w, q**m, w == m
-        a = [start // q**j % q for j in range(len(cells))] + [0]
-        rows = [pack(row) for row in _graph(ctx, cells, s, start, one)]
-        base = pack(_graph(ctx, cells, s, 0, one)[fast])
-        hi = pack([(c, (a[j] - a[j + 1]) % q) for j, (_, c) in enumerate(cells[w:m], w)],
-                  0 if fold else base)
-        resets = [0] * q if fold else list(
-            accumulate(repeat(P[cells[m - 1][1]], q - 1), add, initial=base))
-        steps = []  # Gray steps below digit w + 1; a carry into digit w adds nothing
-        for j in range(w + 1):
-            steps = (steps + [P[cells[j][1]] if j < w else 0]) * (q - 1) + steps
-        L = list(accumulate(steps, add, initial=base if fold else 0))
-        t, moved = start, True
-        while True:
-            if moved:  # a slow row moved (or this range just began)
-                rest = reduce(or_, rows[:fast], 0)
-            if moved and m and ((rest + nonzero) & high).bit_count() - ell > best:
-                end = min(t - t % block + block, stop)
-                skipped += end - t
-                t = end
-                a[w:m] = [q - 1] * (m - w)  # as at the block's last counter
-            else:
-                lo = a[w] * width + t % width
-                seg = L[lo : lo + min(width - t % width, stop - t)]
-                if q == 2:
-                    costs = [(rest | hi ^ v).bit_count() for v in seg]
-                elif fold:  # hi is 0
-                    costs = [(((rest | v) + nonzero) & high).bit_count() for v in seg]
-                else:  # pk.add inlined
-                    costs = [(((rest | (u := hi + v) - (((u + over) & high) >> shift) * q)
-                               + nonzero) & high).bit_count() for v in seg]
-                low = min(costs)
-                if low - ell <= best:
-                    if low - ell < best:
-                        best, ties = low - ell, []
-                    ties += [(s, t + k) for k, cost in enumerate(costs) if cost == low]
-                t += len(seg)
-            if t == stop:
-                break
-            j = w  # the digits below w are all q-1 here
-            while a[j] == q - 1:
-                a[j] = 0
-                j += 1
-            a[j] += 1
-            i, c = cells[j]
-            moved = i != fast
-            if moved:
-                rows[i] = add(rows[i], P[c])
-                hi = resets[-a[m] % q]
-            else:
-                hi = add(hi, P[c])
-        count += t - start
-    return count, count - skipped, best, ties
+        tables, spans, counts = [], [], []
+        for t, row in enumerate(_graph(ctx, cells, s, 0, one)):
+            images = [P[c] for i, c in cells if i == t]  # lowest digit first
+            fixed = reduce(add, [P[c] for c, g in row for _ in range(g)])
+            tables.append((ctx._linear_table(images[:w], add, fixed), images[w:]))
+            spans.append(q ** sum(i > t for i, _ in cells))
+            counts.append(q ** len(images))
+        walk(0, 0, 0)
+    return scored + skipped, scored, best - ell, ties
 
 
 def _check_workers(workers: int | None) -> None:

@@ -17,7 +17,7 @@ from repair_lab.linalg import Packing, back_substitute, echelon
 from repair_lab.qpoly import canonical_subspace_basis, qp_eval
 from repair_lab.rs import RSCode
 from repair_lab.scheme import RepairScheme
-from repair_lab.search import _cells, _graph, _rows_to_scheme
+from repair_lab.search import _cells, _rows_to_scheme
 
 # ---- field and polynomials ---------------------------------------------------------
 
@@ -428,16 +428,14 @@ def pattern_scan(ctx: FieldContext, r: int, star: int):
 
 
 def _graph_rows(ctx: FieldContext, r: int, s: int, counter: int) -> list[list[int]]:
-    """Slice s's scheme at a Gray counter, as dense rows over the e_{d,u}
-    (index d*ell + u)."""
+    """Slice s's scheme at a counter, whose base-q digit j is the value of free
+    cell j, as dense rows over the e_{d,u} (index d*ell + u)."""
     q, ell = ctx.q, ctx.ell
-    cells = _cells(s, ell, r)
-    digits = [counter // q**j % q for j in range(len(cells))] + [0]
     rows = [[int(c == t) for c in range(r * ell)] for t in range(ell)]
     if s < ell:
         rows[s][ell : 2 * ell] = coords_oracle(ctx, None, 1, ctx.dual_basis)
-    for j, (t, c) in enumerate(cells):
-        rows[t][c] = (digits[j] - digits[j + 1]) % q
+    for j, (t, c) in enumerate(_cells(s, ell, r)):
+        rows[t][c] = counter // q**j % q
     return rows
 
 
@@ -458,17 +456,16 @@ def _shifted_coords(ctx: FieldContext, r: int, star: int) -> list[tuple[int, ...
 
 
 def plain_scan(ctx: FieldContext, r: int, star: int, items):
-    """(count, cost, ties) over (slice, start, stop) Gray-counter ranges: the
-    least cost among the visited schemes and every (slice, counter) reaching it.
-    The orbit scan as it was before it pruned: every visited scheme is costed.
+    """(count, cost, ties) over (slice, start, stop) counter ranges: the least
+    cost among the visited schemes and every (slice, counter) reaching it.  The
+    orbit scan with no pruning: every visited scheme is costed.
 
-    Counter t visits the free-cell digits g_j = (a_j - a_{j+1}) mod q of its
-    base-q digits a_j (modular q-ary Gray order, Knuth TAOCP 4A 7.2.1.1), so
-    t -> t+1 adds 1 to the digit at the base-q trailing-zero count of t+1: one
-    dual-space row is added to one scheme row.  Rows (n*ell subsymbol
-    coordinates) are packed by linalg.Packing.  The cost counts the nonzero
-    fields of the rows' OR, less the ell columns of the failed node; the OR of
-    the slow rows is rebuilt only when one of them moves.
+    Counter digit j is the value of free cell j, walked as an odometer: t -> t+1
+    wraps the digits below some j to 0 and adds 1 to digit j.  Each of those
+    digits adds its dual-space row to its scheme row once, since q times a row
+    is 0.  Rows (n*ell subsymbol coordinates) are packed by linalg.Packing.  The
+    cost counts the nonzero fields of the rows' OR, less the ell columns of the
+    failed node; the OR of the slow rows is rebuilt only when one of them moves.
     """
     q, ell = ctx.q, ctx.ell
     pk = Packing(q, ctx.order * ell)
@@ -479,7 +476,7 @@ def plain_scan(ctx: FieldContext, r: int, star: int, items):
     count, best, ties = 0, ctx.order * ell, []  # every cost is below n*ell
     for s, start, stop in items:
         cells = _cells(s, ell, r)
-        a = [start // q**j % q for j in range(len(cells))] + [0]
+        a = [start // q**j % q for j in range(len(cells))]
         rows = [
             reduce(pk.add, [P[c] for c, g in enumerate(coords) for _ in range(g)], 0)
             for coords in _graph_rows(ctx, r, s, start)
@@ -501,19 +498,19 @@ def plain_scan(ctx: FieldContext, r: int, star: int, items):
                 a[j] = 0
                 j += 1
             a[j] += 1
-            i, c = cells[j]
-            if q == 2:  # pk.add inlined: this is the hot loop
-                rows[i] ^= P[c]
-            else:
-                v = rows[i] + P[c]
-                rows[i] = v - (((v + over) & high) >> shift) * q
+            for i, c in cells[: j + 1]:  # i ends at digit j's row, the slowest moved
+                if q == 2:  # pk.add inlined: this is the hot loop
+                    rows[i] ^= P[c]
+                else:
+                    v = rows[i] + P[c]
+                    rows[i] = v - (((v + over) & high) >> shift) * q
         count += t - start
     return count, best, ties
 
 
 def orbit_keys(ctx: FieldContext, r: int, star: int, s: int, counter: int):
     """Flattened reduced-echelon bases, over the basis[t] * x^d, of slice s's
-    scheme at a Gray counter and, outside the A_1 = 0 slice, of all its q^ell - 1
+    scheme at a counter and, outside the A_1 = 0 slice, of all its q^ell - 1
     scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole).  Each image is
     built as polynomials and reduced by the list Gauss-Jordan `rref`."""
     ell, shift = ctx.ell, ctx.neg(star - 1)
@@ -537,7 +534,8 @@ def packed_orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing, r
     of each tie (slice, counter) and, outside the A_1 = 0 slice, of all its
     q^ell - 1 scalings A_d -> c^d A_d (the A_1 = 0 slice is scanned whole): the
     witness's candidates, every image reduced (or, without `reduce_`, as built).
-    The library's tables, built the same way, but no image is skipped."""
+    The library's tables, built the same way, but each image is summed on its
+    own, from the tie's dense rows, and none is skipped."""
     q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
     # (x - alpha*)^d as x^j coefficients, j < r, times each monomial q^i
     powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
@@ -556,10 +554,9 @@ def packed_orbit_keys(ctx: FieldContext, r: int, star: int, ties, pk: Packing, r
             for cb in [ctx.mul(ctx.power(c, d), b) for b in ctx.basis]
             for g in range(q)
         ]
-    one = ctx.basis_coords(1)
     for s, counter in ties:
-        rows = _graph(ctx, _cells(s, ell, r), s, counter, one)
-        graph = [[c * q + g for c, g in row] for row in rows]
+        rows = _graph_rows(ctx, r, s, counter)
+        graph = [[c * q + g for c, g in enumerate(row) if g] for row in rows]
         for c in tables if s < ell else (1,):
             entry = tables[c].__getitem__
             image = [reduce(pk.add, map(entry, row)) for row in graph]

@@ -8,16 +8,18 @@ plain integer sum(d_i * q**i), so 0 and 1 are the field's zero and one, the inte
 A FieldContext fixes q, ell, the modulus (default: the monic irreducible of degree
 ell with the smallest encoding, for fields up to 5^12), and a working basis of F
 over B (default: the polynomial basis 1, x, ..., x^{ell-1}).  When the field is
-small enough the context precomputes discrete log/antilog and trace tables; larger
-fields fall back to direct polynomial arithmetic, with the trace read off its values
-at the monomials.  All arithmetic is exact — no floating point.
+small enough mul and power read discrete log/antilog tables, else they run direct
+polynomial arithmetic; add is XOR at q = 2, digit-wise sums else.  Every other
+operation is derived from these three, and the trace, B-linear, is the dot product
+of a's digits with the monomials' traces, for every field.  All arithmetic is
+exact — no floating point.
 
-Every table is filled by linearity over B.  The trace, multiplication by the
-generator g and both coordinate expansions are B-linear maps f, so f is fixed by
-its ell values at the monomials q^j, and the rest follows in integer order, one
-addition per element: f(a) = f(a - q^h) + f(q^h), where q^h is the highest power
-of q not above a.  The antilog table then walks g^(i+1) = (g * .)(g^i) through
-the tabulated multiplication by g.
+Every table is filled by linearity over B.  Multiplication by the generator g and
+both coordinate expansions are B-linear maps f, so f is fixed by its ell values at
+the monomials q^j, and the rest follows in integer order, one addition per
+element: f(a) = f(a - q^h) + f(q^h), where q^h is the highest power of q not above
+a.  The antilog table then walks g^(i+1) = (g * .)(g^i) through the tabulated
+multiplication by g.
 
 Coordinate expansions come in two flavours that are easy to mix up:
 
@@ -52,7 +54,7 @@ from operator import mul, xor
 
 from . import linalg
 
-# Largest field for which log/exp and trace tables are precomputed.
+# Largest field for which log/exp tables are precomputed.
 _TABLE_LIMIT = 1 << 16
 
 # Largest field whose default modulus is derived: the first monic irreducible
@@ -164,13 +166,11 @@ class FieldContext:
 
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
-        self._trace_table: list[int] | None = None
         self._pk = linalg.Packing(q, ell)  # coord_rows' row format
         self._rows: dict[bool, tuple[list[int], list[str]]] = {}  # coord_rows', by flavour
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
-        else:
-            self._digit_traces = self._monomial_traces()
+        self._digit_traces = self._monomial_traces()
 
         if basis is None:
             basis = tuple(q**i for i in range(ell))
@@ -247,35 +247,20 @@ class FieldContext:
                 table.extend([add(v, image) for v in table[-size:]])
         return table
 
-    def _add_scalar(self, x: int, y: int) -> int:
-        return (x + y) % self.q
-
     def _build_tables(self) -> None:
         q, n = self.q, self.order - 1
-        if n == 1:
-            g = 1
-        else:
-            factors = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
-            g = 0
-            for cand in range(2, self.order):
-                if all(self._pow_raw(cand, n // p) != 1 for p in factors):
-                    g = cand
-                    break
-        monomials = [q**j for j in range(self.ell)]
-        add, add_scalar = (xor, xor) if q == 2 else (self._add_raw, self._add_scalar)
-        times_g = self._linear_table([self._mul_raw(g, m) for m in monomials], add)
-        exp = [0] * (2 * n)
-        log = [0] * self.order
-        acc = 1
-        for i in range(n):
-            exp[i] = acc
-            exp[i + n] = acc
-            log[acc] = i
-            acc = times_g[acc]
-        if acc != 1:
+        factors = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
+        g = next(c for c in range(1, self.order)  # a generator: 1 when n = 1, else c > 1
+                 if all(self._pow_raw(c, n // p) != 1 for p in factors))
+        add = xor if q == 2 else self.add
+        times_g = self._linear_table([self._mul_raw(g, q**j) for j in range(self.ell)], add)
+        exp = list(accumulate(range(n - 1), lambda v, _: times_g[v], initial=1))  # g^0..g^(n-1)
+        if times_g[exp[-1]] != 1:
             raise AssertionError("generator search failed")
-        self._exp, self._log = exp, log
-        self._trace_table = self._linear_table(self._monomial_traces(), add_scalar)
+        log = [0] * self.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        self._exp, self._log = exp * 2, log
 
     def _monomial_traces(self) -> list[int]:
         """Tr(x^j) for j < ell, each the sum of its Frobenius orbit; the trace is
@@ -296,13 +281,9 @@ class FieldContext:
     add = _add_raw  # XOR at q = 2, digit by digit otherwise
 
     def neg(self, a: int) -> int:
-        if self.q == 2:
-            return a
-        return self.from_digits((-d) % self.q for d in self.digits(a))
+        return self.mul(self.q - 1, a)  # -1 = q - 1 lies in B
 
     def sub(self, a: int, b: int) -> int:
-        if self.q == 2:
-            return a ^ b
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
@@ -313,42 +294,28 @@ class FieldContext:
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        if self._exp is not None:
-            return self._exp[self.order - 1 - self._log[a]]
-        return self._pow_raw(a, self.order - 2)
+        return self.power(a, -1)
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
 
     def power(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.power(self.inv(a), -e)
+        """a^e for any integer e, read mod order - 1; 0 has no negative powers."""
         if a == 0:
+            if e < 0:
+                raise ZeroDivisionError("0 has no multiplicative inverse")
             return 0 if e else 1
         n = self.order - 1
         if self._exp is not None:
-            return self._exp[(self._log[a] * e) % n]
-        return self._pow_raw(a, e % n if e >= n else e)
+            return self._exp[self._log[a] * e % n]
+        return self._pow_raw(a, e % n)
 
     def frobenius(self, a: int, i: int = 1) -> int:
         """a raised to the q^i power (the i-fold Frobenius automorphism)."""
-        i %= self.ell
-        if i == 0 or a == 0:
-            return a
-        if self._log is not None:
-            n = self.order - 1
-            return self._exp[(self._log[a] * pow(self.q, i, n)) % n]
-        b = a
-        for _ in range(i):
-            b = self._pow_raw(b, self.q)
-        return b
+        return self.power(a, self.q ** (i % self.ell))
 
     def trace(self, a: int) -> int:
         """Field trace of F down to B, returned as an integer in [0, q)."""
-        if self._trace_table is not None:
-            return self._trace_table[a]
         return sum(map(mul, self.digits(a), self._digit_traces)) % self.q
 
     # ---- basis expansions ----------------------------------------------------

@@ -63,7 +63,8 @@ class RSCode:
         """v_i = prod_{j != i} (alpha_i - alpha_j)^-1, in O(n^2): the dual code is
         {(v_i * g(alpha_i))_i : deg g < n - k} (MacWilliams-Sloane, ch. 10)."""
         ctx, points = self.ctx, self.eval_points
-        return tuple(ctx.inv(reduce(ctx.mul, [ctx.sub(a, b) for b in points if b != a], 1))
+        minus = {b: ctx.neg(b) for b in points}  # once each: the n^2 differences are additions
+        return tuple(ctx.inv(reduce(ctx.mul, [ctx.add(a, minus[b]) for b in points if b != a], 1))
                      for a in points)
 
     def random_message(self, seed: int) -> list[int]:

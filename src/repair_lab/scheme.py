@@ -41,6 +41,7 @@ from operator import or_
 
 from . import linalg
 from .fieldmath import (
+    _TABLE_LIMIT,
     _is_int,
     field_context,
     poly_deg,
@@ -51,10 +52,11 @@ from .fieldmath import (
 )
 from .rs import RSCode
 
-# Largest field order, and so full length n, that RepairScheme.from_dict accepts: the
-# largest tabulated field.  A scheme builds and costs all n nodes, so a document naming
-# a prime q near 10^8 would exhaust memory rather than fail.
-MAX_ORDER = 1 << 16
+# Largest field order, and so full length n, that RepairScheme.from_dict accepts: a
+# scheme builds and costs all n nodes, so a document naming a prime q near 10^8 would
+# exhaust memory rather than fail.  It is fieldmath's one bound on a small field, the
+# largest tabulated one, so the limit and the tables cannot drift apart.
+MAX_ORDER = _TABLE_LIMIT
 
 
 class RepairScheme:

@@ -9,6 +9,9 @@ vanish at alpha* (the span of the e_{d,t} with d >= 1) only in 0, so every valid
 W is, uniquely, a graph over the constants: the span of the rows
 e_{0,t} + sum_{d>=1} A_d(b_t), one per t, where each A_d(b_t) is any element of
 F written in b-coordinates.  No candidate is invalid, and no rank test is needed.
+The shift y = x - alpha* permutes the n points and sends alpha* to 0, so every
+node's costs are node 1's: the scan reads no node, and only the witness is taken
+at the failed node.
 
 The maps x -> alpha* + c(x - alpha*), c in F*, fix the failed node and permute
 the others, so they keep the cost; on the graph they multiply A_d by c^d.  An
@@ -17,7 +20,8 @@ A_1(b_t) is the field's 1, so slice t0 (t0 = 0..ell-1) fixes A_1(b_t) = 0 for
 t < t0 and A_1(b_t0) = 1; one more slice holds A_1 = 0 whole (its orbits stay
 in it).  The scan visits q^(ell^2 (r-2)) * ((q^(ell^2) - 1)/(q^ell - 1) + 1)
 schemes, a plain base-q counter over each slice's free cells, walked depth first
-from row 0 down to the fast row ell-1 over a table of each row's values.  The
+from row 0 down to the fast row ell-1 over a table of each row's values (a row
+past _BLOCK_BUDGET bytes tabulates only its low digits).  The
 walk is an exact branch and bound: a scheme's cost is the nonzero-field count of
 its rows' OR, less ell, and an OR only gains weight, so the rows above a subtree
 bound every scheme in it; a subtree whose bound exceeds the best cost so far
@@ -44,8 +48,9 @@ at interactive scale.
 from __future__ import annotations
 
 import os
+import sys
 from functools import reduce
-from itertools import chain, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import or_
 
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
@@ -56,7 +61,7 @@ from .scheme import RepairScheme
 
 SUBSPACE_CAP = 10_000_000
 _PARALLEL_THRESHOLD = 50_000
-_BLOCK_BUDGET = 1 << 14  # entries of any one of _scan's row tables, q^w
+_BLOCK_BUDGET = 1 << 24  # bytes of any one of _scan's row tables, q^w packed rows
 
 
 class VerificationError(Exception):
@@ -117,14 +122,12 @@ def _graph(ctx: FieldContext, cells, s: int, counter: int, one) -> list[list[tup
     return rows
 
 
-def _shifted_rows(ctx: FieldContext, r: int, star: int) -> list[int]:
-    """The stacked subsymbol coordinates of every e_{d,t} = basis[t] * (x - alpha*)^d,
-    at index d*ell + t: its values' dual_coords, packed by linalg.Packing(q, n*ell)."""
-    alpha = star - 1  # full-length points are 0..n-1 in order
-    shifted, values = [ctx.sub(a, alpha) for a in range(ctx.order)], []
-    for d in range(r):
-        powers = [ctx.power(x, d) for x in shifted]
-        values += [[ctx.mul(b, p) for p in powers] for b in ctx.basis]
+def _shifted_rows(ctx: FieldContext, r: int) -> list[int]:
+    """The stacked subsymbol coordinates of every e_{d,t} = basis[t] * y^d over the
+    points y = x - alpha* in order (node 1's), at index d*ell + t: its values'
+    dual_coords, packed by linalg.Packing(q, n*ell)."""
+    values = [[ctx.mul(b, ctx.power(y, d)) for y in range(ctx.order)]
+              for d in range(r) for b in ctx.basis]
     texts = ctx.coord_rows(chain.from_iterable(values), dual=True)[1]
     return [int("".join(map(texts.__getitem__, row)), 2) for row in values]
 
@@ -215,10 +218,17 @@ def _split(items, workers: int) -> list[list[tuple[int, int, int]]]:
     return loads
 
 
-def _scan(ctx: FieldContext, r: int, star: int, items):
+def _table_digits(ctx: FieldContext) -> int:
+    """The most digits w of a row that one of _scan's tables holds: q^w packed rows
+    of n*ell*b bits, each an int in a list slot, fit in _BLOCK_BUDGET bytes."""
+    entry = sys.getsizeof(Packing(ctx.q, ctx.order * ctx.ell).high) + 8  # the int and its slot
+    return next(v for v in count() if ctx.q ** (v + 1) * entry > _BLOCK_BUDGET)
+
+
+def _scan(ctx: FieldContext, r: int, items):
     """(count, scored, cost, ties) over (slice, start, stop) counter ranges: the
     schemes visited and costed, the least cost among them and every
-    (slice, counter) reaching it.
+    (slice, counter) reaching it, at any failed node (see the module docstring).
 
     Counter digit j is g_j, the value of the slice's free cell j; `_cells` puts
     the fast row ell-1 in the lowest digits and row 0 in the highest.  Rows
@@ -234,15 +244,19 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     bound exceeds the best cost so far, strictly, is skipped, so no scheme that
     could tie is.  At the fast row one comprehension costs every entry in
     range.  The count adds the costed schemes and each skipped subtree's size
-    within the range.  A table holds at most q^w <= _BLOCK_BUDGET entries: a
-    row with more digits has a table of its w low digits, and each value of its
-    high digits is added to that table, one chunk at a time.
+    within the range.  A table holds q^w entries, w = _table_digits(ctx), at most
+    _BLOCK_BUDGET bytes: a row with more digits has a table of its w low digits,
+    and the walk adds each value of its high digits to it, one chunk at a time.
+    That value is a running sum: from one chunk to the next, the high digits
+    that wrap from q-1 to 0 and the one above them each gain their image once
+    (q of an image sum to 0), so one of the row's d - w prefix sums of high
+    images is added.
     """
     q, ell = ctx.q, ctx.ell
-    P, one = _shifted_rows(ctx, r, star), ctx.basis_coords(1)
+    P, one = _shifted_rows(ctx, r), ctx.basis_coords(1)
     pk = Packing(q, ctx.order * ell)
     add, high, over, shift, nonzero = pk.add, pk.high, pk.over, pk.b - 1, pk.high - pk.ones
-    w = next(v for v in count() if q ** (v + 1) > _BLOCK_BUDGET)
+    w = _table_digits(ctx)
 
     def weigh(acc, top, part) -> list[int]:  # the nonzero-field count of acc | (top + v), per v
         if q == 2:  # a split row is rare at q = 2, and XOR is cheap
@@ -255,23 +269,17 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
     def within(a, b) -> int:  # counters a..b-1 inside the range
         return min(stop, b) - max(start, a)
 
-    def chunks(t, lo, hi):  # (i, top, part): row t's value at index i + k is top + part[k]
-        low, tops = tables[t]
-        if not tops:  # the row's whole table
-            yield lo, 0, low[lo:hi]
-            return
-        size = len(low)
-        for h in range(lo // size, -(-hi // size)):  # a split row, a value of its high digits each
-            top = reduce(add, [v for j, v in enumerate(tops) for _ in range(h // q**j % q)], 0)
-            a, b = max(lo, h * size), min(hi, h * size + size)
-            yield a, top, low[a - h * size : b - h * size]
-
     def walk(t, acc, base):  # row t's subtrees from counter base, under the prefix OR acc
         nonlocal skipped, scored, best, ties
-        size = spans[t]
+        size, (table, highs, steps) = spans[t], tables[t]
         lo, hi = max(0, (start - base) // size), min(counts[t], -(-(stop - base) // size))
-        for i, top, part in chunks(t, lo, hi):
-            costs = weigh(acc, top, part)
+        m, h0 = len(table), lo // len(table)
+        top = h0 and reduce(add, [v for j, v in enumerate(highs) for _ in range(h0 // q**j % q)])
+        for h in range(h0, -(-hi // m)):  # a value of the high digits each, one if whole
+            if h > h0:  # from h - 1, digits 0..c gain 1, c the lowest nonzero digit of h
+                top = add(top, steps[next(j for j in count() if h // q**j % q)])
+            i = max(lo, h * m)  # row t's value at index i + k is top + part[k]
+            costs = weigh(acc, top, part := table[i - h * m : hi - h * m])
             if t == fast:
                 scored += len(costs)
                 low = min(costs)
@@ -297,7 +305,9 @@ def _scan(ctx: FieldContext, r: int, star: int, items):
         for t, row in enumerate(_graph(ctx, cells, s, 0, one)):
             images = [P[c] for i, c in cells if i == t]  # lowest digit first
             fixed = reduce(add, [P[c] for c, g in row for _ in range(g)])
-            tables.append((ctx._linear_table(images[:w], add, fixed), images[w:]))
+            highs = images[w:]  # steps[c]: high digits 0..c each up by one
+            tables.append((ctx._linear_table(images[:w], add, fixed), highs,
+                           list(accumulate(highs, add))))
             spans.append(q ** sum(i > t for i, _ in cells))
             counts.append(q ** len(images))
         walk(0, 0, 0)
@@ -354,9 +364,9 @@ def min_io_exhaustive(
 
         loads = _split(items, workers)
         with ProcessPoolExecutor(max_workers=len(loads)) as pool:
-            results = list(pool.map(_scan, repeat(ctx), repeat(r), repeat(star), loads))
+            results = list(pool.map(_scan, repeat(ctx), repeat(r), loads))
     else:
-        results = [_scan(ctx, r, star, items)]
+        results = [_scan(ctx, r, items)]
     total = sum(count for count, _, _, _ in results)
     if total != expected:
         raise VerificationError(f"visited {total} schemes, expected {expected}")

@@ -199,6 +199,35 @@ def test_field_axioms_spot(ctx):
         assert ctx.add(a, ctx.neg(a)) == 0
 
 
+@pytest.mark.parametrize(
+    "q, ell, draws",
+    [(2, 3, None), (3, 2, None), (5, 2, None), (3, 3, None), (7, 2, None), (2, 17, 50), (5, 8, 50)],
+)
+def test_derived_operations_match_the_raw_routes(q, ell, draws):
+    # inv, frobenius, neg, sub and power are derived from mul, power and add; the
+    # raw routes are polynomial powers and digit-wise negation
+    ctx, rng = FieldContext(q, ell), random.Random(29)
+    n = ctx.order - 1
+    elements = range(ctx.order) if draws is None else [rng.randrange(ctx.order) for _ in range(draws)]
+    for a in elements:
+        negated, b = ctx.from_digits(-d for d in ctx.digits(a)), rng.randrange(ctx.order)
+        assert ctx.neg(a) == negated and ctx.sub(b, a) == ctx.add(b, negated)
+        orbit = [a]  # a^(q^i), i < ell
+        for _ in range(ell - 1):
+            orbit.append(ctx._pow_raw(orbit[-1], q))
+        assert [ctx.frobenius(a, i) for i in range(-ell, 2 * ell + 1)] == orbit * 3 + [a]
+        for e in (0, 1, 2, q, n - 1, n, n + 1, 3 * n + 2):
+            assert ctx.power(a, e) == ctx._pow_raw(a, e)
+        if a:
+            inverse = ctx._pow_raw(a, ctx.order - 2)
+            assert ctx.inv(a) == inverse
+            for e in (1, 2, q, n, n + 1, 3 * n + 2):
+                assert ctx.power(a, -e) == ctx._pow_raw(inverse, e)
+    for bad in (lambda: ctx.inv(0), lambda: ctx.power(0, -1)):
+        with pytest.raises(ZeroDivisionError, match="no multiplicative inverse"):
+            bad()
+
+
 def test_power_and_order():
     for a in range(1, GF8.order):
         assert GF8.power(a, GF8.order - 1) == 1
@@ -340,7 +369,7 @@ def test_tables_match_the_element_by_element_builders(ctx):
     exp, log, trace = field_tables_oracle(ctx)
     assert ctx._exp == exp
     assert ctx._log == log
-    assert ctx._trace_table == trace
+    assert [ctx.trace(a) for a in range(ctx.order)] == trace
     # dual_coords and basis_coords read coord_rows' table of their flavour, each
     # built on first use
     fresh = FieldContext(ctx.q, ctx.ell, ctx.modulus, ctx.basis)
@@ -394,11 +423,10 @@ def test_large_field_without_tables():
     assert ctx._rows == {}
 
 
-@pytest.mark.parametrize("q, ell", [(2, 17), (5, 7)])
+@pytest.mark.parametrize("q, ell", [(2, 17), (5, 7), (2, 4), (3, 3), (5, 2)])
 def test_table_free_trace_is_the_frobenius_orbit_sum(q, ell):
-    # past the table limit the trace is read off its values at the monomials
+    # with or without tables the trace is read off its values at the monomials
     ctx = FieldContext(q, ell)
-    assert ctx._trace_table is None
     rng = random.Random(17)
     for a in [0, 1, q, *(rng.randrange(ctx.order) for _ in range(20))]:
         orbit, b = 0, a

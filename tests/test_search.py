@@ -185,7 +185,7 @@ def test_scanner_matches_oracle(data):
     assert count == gaussian_binomial(r * ell, ell, q)
     # the valid schemes are exactly the graphs A: C -> K
     assert valid == q ** ((r - 1) * ell * ell)
-    visited, _, least, _ = search._scan(ctx, r, star, search._slices(ell, r, q))
+    visited, _, least, _ = search._scan(ctx, r, search._slices(ell, r, q))
     assert (visited, least) == (visit_count(q, ell, r), cost)
     found, scheme = min_io_exhaustive(ctx, r, star=star, workers=1)
     assert found == cost
@@ -225,12 +225,12 @@ def test_tie_heavy_minimum_matches_the_subspace_oracle(monkeypatch, q, ell, r, t
     # the witness is chosen among every tied orbit's q^ell - 1 images
     monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
     ctx = FieldContext(q, ell)
+    _, _, least, tied = search._scan(ctx, r, search._slices(ell, r, q))
     for star in (1, 2, ctx.order):
         count, (cost, key) = pattern_scan(ctx, r, star)
         assert count == gaussian_binomial(r * ell, ell, q)
         witness = _key_to_scheme(ctx, r, star, key).to_dict()
-        _, _, least, found = search._scan(ctx, r, star, search._slices(ell, r, q))
-        assert (least, len(found)) == (cost, ties)
+        assert (least, len(tied)) == (cost, ties)  # the scan is every node's
         for workers in (1, 2):
             found, scheme = min_io_exhaustive(ctx, r, star=star, workers=workers)
             assert (found, scheme.to_dict()) == (cost, witness)
@@ -300,9 +300,8 @@ def test_witness_key_is_the_least_of_every_image(ctx, r):
     # images leading at a later field go unreduced, and at node 1 none is reduced;
     # the key must still be the least over every tie's every image, at every node
     pk = Packing(ctx.q, r * ctx.ell)
-    slices = search._slices(ctx.ell, r, ctx.q)
+    ties = search._scan(ctx, r, search._slices(ctx.ell, r, ctx.q))[3]  # every node's
     for star in range(1, ctx.order + 1):
-        ties = search._scan(ctx, r, star, slices)[3]
         assert search._witness_key(ctx, r, star, ties, pk) == min(
             packed_orbit_keys(ctx, r, star, ties, pk)
         )
@@ -383,13 +382,13 @@ def test_scan_cut_into_two_counter_ranges_matches_whole(data):
         [item for item in search._slices(ell, r, q) if item[2] > 1]
     ))
     cut = data.draw(st.integers(1, size - 1))
-    whole = search._scan(ctx, r, star, [(s, 0, size)])
+    whole = search._scan(ctx, r, [(s, 0, size)])
     halves = [
-        search._scan(ctx, r, star, [(s, 0, cut)]),
-        search._scan(ctx, r, star, [(s, cut, size)]),
+        search._scan(ctx, r, [(s, 0, cut)]),
+        search._scan(ctx, r, [(s, cut, size)]),
     ]
     assert whole[0] == size
-    assert _merge(halves) == _merge([whole])
+    assert _merge(halves) == _merge([whole]) == _merge([_plain(ctx, r, star, [(s, 0, size)])])
 
 
 # ---- the pruned scan against the unpruned walk -----------------------------------
@@ -401,9 +400,12 @@ def _plain(ctx, r, star, items):
     return count, count, best, ties
 
 
-# table budgets where slice 0 at q=2 ell=3 r=3 (rows of 3, 6 and 6 cells) builds
-# every row whole, splits the two 6-cell rows (w = 3), and splits every row (w = 1)
-_BUDGETS = [1 << 14, 8, 2]
+# table budgets in bytes, room for 2^14, 8 and 2 of q=2 ell=3's packed rows: slice 0
+# at q=2 ell=3 r=3 (rows of 3, 6 and 6 cells) builds every row whole, splits the two
+# 6-cell rows (w = 3), and splits every row (w = 1); the last gives odd q w = 0
+_ROWS = [1 << 14, 8, 2]
+_GF8_ROW = sys.getsizeof(Packing(2, 8 * 3).high) + 8  # a packed row and its list slot
+_BUDGETS = [rows * _GF8_ROW for rows in _ROWS]
 
 # (q, ell, r): fast rows with and without free cells, one to three slow rows
 _PRUNE_CASES = [
@@ -412,15 +414,51 @@ _PRUNE_CASES = [
 ]
 
 
+def test_table_budgets_force_their_shapes(monkeypatch):
+    # at q=2 ell=3: w = 14 (every row whole), w = 3, w = 1 and, for the hypothesis
+    # draw's 30 rows, w = 4; every case is whole at the first budget, and every odd
+    # q has w = 0 at the last
+    fields = {(q, ell): FieldContext(q, ell) for q, ell, _ in _PRUNE_CASES}
+    shapes = []
+    for budget in _BUDGETS + [30 * _GF8_ROW]:
+        monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
+        shapes.append({key: search._table_digits(ctx) for key, ctx in fields.items()})
+    assert [w[2, 3] for w in shapes] == [14, 3, 1, 4]
+    for q, ell, r in _PRUNE_CASES:
+        digits = Counter((s, t) for s in range(ell + 1) for t, _ in search._cells(s, ell, r))
+        assert max(digits.values()) <= shapes[0][q, ell]  # every row's digits
+    assert {w for (q, _), w in shapes[2].items() if q > 2} == {0}
+
+
+def test_row_tables_are_sized_in_bytes():
+    # read, not built: a q=127 ell=2 row is 16 129 * 2 9-bit fields, about 36 KB,
+    # so r=2's 2-cell fast row keeps a table of its low digit, 127 rows (4 MiB), and
+    # sums its high digit; a q=191 row (10-bit fields) is about 97 KB and 191 of
+    # them pass 2^24 bytes, so w = 0 and both digits are summed; a q=13 ell=2 row
+    # is about 300 bytes, so r=3's 4-cell fast row, 28 561 rows, is one table
+    # (8 MiB).  Beside its table a row keeps its high images and their prefix sums.
+    for q, r, w, mib in ((127, 2, 1, 4), (191, 2, 0, 0), (13, 3, 4, 8)):
+        ctx = FieldContext(q, 2)
+        entry = sys.getsizeof(Packing(q, ctx.order * 2).high) + 8
+        assert search._table_digits(ctx) == w
+        assert q**w * entry <= search._BLOCK_BUDGET < q ** (w + 1) * entry
+        assert q**w * entry >> 20 == mib
+        assert sum(t == 1 for t, _ in search._cells(0, 2, r)) == 2 * (r - 1)
+        for s in range(3):
+            for d in Counter(t for t, _ in search._cells(s, 2, r)).values():
+                assert (q ** min(w, d) + 2 * max(d - w, 0)) * entry <= search._BLOCK_BUDGET
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_pruned_scan_matches_the_unpruned_walk(data):
     q, ell, r = data.draw(st.sampled_from(_PRUNE_CASES))
     ctx = FieldContext(q, ell)
     star = data.draw(st.integers(1, ctx.order))
-    # each row table holds q^w <= budget entries: every case builds its rows whole
-    # at 2^14, and at 30, 8 and 2 some split slow and fast rows, down to w = 0 at odd q
-    budget = data.draw(st.sampled_from(_BUDGETS + [30]))
+    # each row table holds q^w entries in at most budget bytes: every case builds its
+    # rows whole at the first budget, and at 30, 8 and 2 GF(8) rows some split slow
+    # and fast rows, down to w = 0 at odd q
+    budget = data.draw(st.sampled_from(_BUDGETS + [30 * _GF8_ROW]))
     slices = search._slices(ell, r, q)
     if data.draw(st.booleans()):
         loads = search._split(slices, data.draw(st.integers(2, 4)))
@@ -432,7 +470,7 @@ def test_pruned_scan_matches_the_unpruned_walk(data):
     for load in loads:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(search, "_BLOCK_BUDGET", budget)
-            pruned = search._scan(ctx, r, star, load)
+            pruned = search._scan(ctx, r, load)
         plain = _plain(ctx, r, star, load)
         assert pruned[0] == sum(stop - start for _, start, stop in load)
         assert 0 < pruned[1] <= pruned[0]
@@ -445,7 +483,7 @@ def test_pruning_keeps_every_tie(q, ell, r, ties):
     # to the slow rows: 214 of the 305 at q=2 ell=5 r=2
     ctx = FieldContext(q, ell)
     items = search._slices(ell, r, q)
-    pruned = search._scan(ctx, r, 1, items)
+    pruned = search._scan(ctx, r, items)
     assert (pruned[0], len(pruned[3])) == (visit_count(q, ell, r), ties)
     assert _merge([pruned]) == _merge([_plain(ctx, r, 1, items)])
 
@@ -459,17 +497,16 @@ def test_pruned_scan_matches_on_split_loads(monkeypatch):
     assert [(s, stop % 64) for s, _, stop in (load[-1] for load in loads[:-1])] == [
         (0, 26), (0, 52), (0, 14), (0, 40),
     ]
-    for star in (1, 5):
-        for load in loads:
-            plain = _merge([_plain(GF8, 3, star, load)])
-            for budget in _BUDGETS:
-                monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
-                pruned = search._scan(GF8, 3, star, load)
-                assert pruned[0] == sum(stop - start for _, start, stop in load)
-                assert _merge([pruned]) == plain
+    for load in loads:
+        plains = [_merge([_plain(GF8, 3, star, load)]) for star in (1, 5)]
+        for budget in _BUDGETS:
+            monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
+            pruned = search._scan(GF8, 3, load)
+            assert pruned[0] == sum(stop - start for _, start, stop in load)
+            assert [_merge([pruned])] * 2 == plains  # the node-free scan is both nodes'
 
 
-@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("budget", _BUDGETS, ids=map(str, _ROWS))
 @pytest.mark.parametrize("q,ell,r,stars,scan", [
     (2, 3, 3, range(1, 9), (37_888, 13_680, 13, 75)),
     (3, 3, 2, range(1, 28), (758, 758, 69, 3)),
@@ -482,15 +519,15 @@ def test_scored_is_pinned_at_every_node(monkeypatch, budget, q, ell, r, stars, s
     monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
     ctx = FieldContext(q, ell)
     items = search._slices(ell, r, q)
-    for star in stars:
-        result = search._scan(ctx, r, star, items)
-        visited, scored, cost, ties = result
-        assert (visited, scored, cost, len(ties)) == scan
-    assert _merge([result]) == _merge([_plain(ctx, r, star, items)])
+    result = search._scan(ctx, r, items)
+    visited, scored, cost, ties = result
+    assert (visited, scored, cost, len(ties)) == scan
+    for star in stars:  # the node-free scan is every node's unpruned walk
+        assert _merge([result]) == _merge([_plain(ctx, r, star, items)])
 
 
 def test_pruning_fires_and_the_count_check_reads_visits(monkeypatch):
-    visited, scored, cost, ties = search._scan(GF8, 3, 1, search._slices(3, 3, 2))
+    visited, scored, cost, ties = search._scan(GF8, 3, search._slices(3, 3, 2))
     assert (visited, scored, cost, len(ties)) == (37_888, 13_680, 13, 75)
     # the check passes on visits, though only 13 680 schemes were scored
     assert min_io_exhaustive(GF8, 3, workers=1)[0] == 13
@@ -530,11 +567,12 @@ def test_split_is_exact_and_balanced(q, ell, r, workers):
 def test_split_loads_scan_to_the_serial_result():
     ctx, r, star = GF9, 3, 4
     items = search._slices(ctx.ell, r, ctx.q)
-    serial = search._scan(ctx, r, star, items)
+    serial = search._scan(ctx, r, items)
     assert serial[0] == visit_count(3, 2, 3)
+    assert _merge([serial]) == _merge([_plain(ctx, r, star, items)])
     for workers in (2, 3, 7):
         loads = search._split(items, workers)
-        assert _merge([search._scan(ctx, r, star, load) for load in loads]) == _merge([serial])
+        assert _merge([search._scan(ctx, r, load) for load in loads]) == _merge([serial])
 
 
 def test_worker_env_cap(monkeypatch):

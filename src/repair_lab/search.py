@@ -25,18 +25,19 @@ past _BLOCK_BUDGET bytes tabulates only its low digits).  The
 walk is an exact branch and bound: a scheme's cost is the nonzero-field count of
 its rows' OR, less ell, and an OR only gains weight, so the rows above a subtree
 bound every scheme in it; a subtree whose bound exceeds the best cost so far
-(strictly, so every tie is still scored) is skipped but counted as visited.  The
-slices' counter ranges, laid end to end, are cut into equal contiguous loads for
-the worker processes (the CPU count and REPAIR_LAB_THREADS cap them); each keeps
-its least cost and every (slice, counter) reaching it.  The witness, whatever
+(strictly, so every tie is still scored) is skipped but counted as visited.
+Worker i of W (the CPU count and REPAIR_LAB_THREADS cap W) walks every slice
+but costs only the fast-row values whose index in the row is i mod W, a cyclic
+share that spreads each surviving subtree over every worker; each keeps its
+least cost and every (slice, counter) reaching it.  The witness, whatever
 the worker count, is the lexicographically smallest reduced-echelon basis (over
 the basis[t] * x^d) among the tied orbits' members.  A tie's rows are read off
 its counter digits; a scaling is B-linear in the e_{d,u} coordinates, and psi_d,
 the table of a -> a * (x - alpha*)^d in linalg's row format (column 0 most
 significant, so integer order is tuple order), gives each c's table
-g * c^d e_{d,u} = psi_d[g c^d b_u]: an image row is a sum of entries, and with
-every c's entry side by side in one integer, one sum per row gives that row of
-every image.  Row 0 of an image's basis leads at its largest row's leading
+c^d e_{d,u} = psi_d[c^d b_u]: an image row is a sum of entries times digits,
+and with every c's entry side by side in one integer, one sum per row gives
+that row of every image.  Row 0 of an image's basis leads at its largest row's leading
 field (not bit: an odd-q digit spans bits), so an image leading above the best
 so far is dropped.  At alpha* = 0 each image's constant-term fields are the
 identity (every A_d(b_t) term carries x^d, d >= 1), so it is already reduced,
@@ -102,11 +103,6 @@ def _cells(s: int, ell: int, r: int) -> list[tuple[int, int]]:
     ]
 
 
-def _slices(ell: int, r: int, q: int) -> list[tuple[int, int, int]]:
-    """Every slice's whole counter range, (slice, 0, q^(free cells))."""
-    return [(s, 0, q ** len(_cells(s, ell, r))) for s in range(ell + 1)]
-
-
 def _graph(ctx: FieldContext, cells, s: int, counter: int, one) -> list[list[tuple[int, int]]]:
     """Slice s's scheme at a counter, whose base-q digit j is the value of cell j
     of its `cells`: each row's nonzero entries, as (e_{d,u} index d*ell + u,
@@ -151,7 +147,8 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
     among the ties' images: each tie (slice, counter) and, outside the A_1 = 0 slice, its
     q^ell - 1 scalings A_d -> c^d A_d (which are reduced: see the module docstring).  A
     tie's rows for every scaling come from one sum per row, under
-    Packing(q, r*ell*(q^ell - 1))."""
+    Packing(q, r*ell*(q^ell - 1)): psi_d is B-linear, so a digit g scales the
+    packed c^d e_{d,u} in every lane at once."""
     q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
     # (x - alpha*)^d as x^j coefficients, j < r, times each monomial q^i
     powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
@@ -163,13 +160,8 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
         for image in images
     ]
     scalings = range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,)
-    tables = [  # per c, g * c^d e_{d,u} packed, at index (d*ell + u)*q + g
-        [
-            psi_d[ctx.mul(g, cb)]
-            for d, psi_d in enumerate(psi)
-            for cb in [ctx.mul(ctx.power(c, d), b) for b in ctx.basis]
-            for g in range(q)
-        ]
+    tables = [  # per c, c^d e_{d,u} packed, at index d*ell + u
+        [psi_d[ctx.mul(ctx.power(c, d), b)] for d, psi_d in enumerate(psi) for b in ctx.basis]
         for c in scalings
     ]
     # every c's entry side by side, c = 1 most significant: one sum gives every image's row
@@ -181,7 +173,7 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
     best, above = [1 << full], 0  # best is above every key; `above`, the bits above its lead
     for s, counter in ties:
         graph = _graph(ctx, cells[s], s, counter, one)
-        rows = [reduce(wide.add, [entry[c * q + g] for c, g in row]) for row in graph]
+        rows = [reduce(wide.add, [wide.scale(entry[c], g) for c, g in row]) for row in graph]
         union = reduce(or_, rows)
         for lane in reversed(range(lanes)) if s < ell else (lanes - 1,):
             if union >> lane * full & above:  # leads above best
@@ -198,26 +190,6 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
 # ---- the scan ----------------------------------------------------------------------
 
 
-def _split(items, workers: int) -> list[list[tuple[int, int, int]]]:
-    """Cut the items, laid end to end, into at most `workers` contiguous loads
-    of at most ceil(total / workers) visits; a cut splits a counter range."""
-    total = sum(stop - start for _, start, stop in items)
-    share = -(-total // workers)
-    loads, load, room = [], [], share
-    for s, start, stop in items:
-        while start < stop:
-            end = min(stop, start + room)
-            load.append((s, start, end))
-            room -= end - start
-            start = end
-            if not room:
-                loads.append(load)
-                load, room = [], share
-    if load:
-        loads.append(load)
-    return loads
-
-
 def _table_digits(ctx: FieldContext) -> int:
     """The most digits w of a row that one of _scan's tables holds: q^w packed rows
     of n*ell*b bits, each an int in a list slot, fit in _BLOCK_BUDGET bytes."""
@@ -225,10 +197,12 @@ def _table_digits(ctx: FieldContext) -> int:
     return next(v for v in count() if ctx.q ** (v + 1) * entry > _BLOCK_BUDGET)
 
 
-def _scan(ctx: FieldContext, r: int, items):
-    """(count, scored, cost, ties) over (slice, start, stop) counter ranges: the
-    schemes visited and costed, the least cost among them and every
-    (slice, counter) reaching it, at any failed node (see the module docstring).
+def _scan(ctx: FieldContext, r: int, slices, i: int = 0, W: int = 1):
+    """(count, scored, cost, ties) over whole slices, share i of W: the schemes
+    visited and costed, the least cost among them and every (slice, counter)
+    reaching it, at any failed node (see the module docstring).  The share
+    costs the fast-row values whose index in the row is i mod W, so the W
+    shares partition every slice; serial is share 0 of 1.
 
     Counter digit j is g_j, the value of the slice's free cell j; `_cells` puts
     the fast row ell-1 in the lowest digits and row 0 in the highest.  Rows
@@ -236,17 +210,20 @@ def _scan(ctx: FieldContext, r: int, items):
     holds base_t + sum_j g_j P[c_j] at every base-q index of its digits, so a
     depth-first walk from row 0 down to the fast row visits the counters in
     order.  The cost counts the nonzero fields of the rows' OR, less the ell
-    columns of the failed node.
+    columns of the failed node.  A whole row's table holds each value's
+    nonzero-field mask (at q = 2 the value itself), and the prefix is the OR of
+    its rows' masks, so an entry costs one OR and one bit count.
 
     The walk is an exact branch and bound.  An OR only gains nonzero fields, so
     the OR of rows 0..t bounds every scheme below it: at a slow row t one
     comprehension costs each entry ORed into the prefix, and a subtree whose
     bound exceeds the best cost so far, strictly, is skipped, so no scheme that
-    could tie is.  At the fast row one comprehension costs every entry in
-    range.  The count adds the costed schemes and each skipped subtree's size
-    within the range.  A table holds q^w entries, w = _table_digits(ctx), at most
-    _BLOCK_BUDGET bytes: a row with more digits has a table of its w low digits,
-    and the walk adds each value of its high digits to it, one chunk at a time.
+    could tie is.  At the fast row one comprehension costs the share's entries.
+    The count adds the costed schemes and each skipped subtree's share: its
+    size / F fast rows of F values hold len(range(i, F, W)) of the share each.
+    A table holds q^w entries, w = _table_digits(ctx), at most _BLOCK_BUDGET
+    bytes: a row with more digits has a table of its w low digits' values, and
+    the walk adds each value of its high digits to it, one chunk at a time.
     That value is a running sum: from one chunk to the next, the high digits
     that wrap from q-1 to 0 and the one above them each gain their image once
     (q of an image sum to 0), so one of the row's d - w prefix sums of high
@@ -255,61 +232,60 @@ def _scan(ctx: FieldContext, r: int, items):
     q, ell = ctx.q, ctx.ell
     P, one = _shifted_rows(ctx, r), ctx.basis_coords(1)
     pk = Packing(q, ctx.order * ell)
-    add, high, over, shift, nonzero = pk.add, pk.high, pk.over, pk.b - 1, pk.high - pk.ones
+    add, nonzero, high, over, shift = pk.add, pk.nonzero, pk.high, pk.over, pk.b - 1
+    bias = high - pk.ones
     w = _table_digits(ctx)
 
-    def weigh(acc, top, part) -> list[int]:  # the nonzero-field count of acc | (top + v), per v
-        if q == 2:  # a split row is rare at q = 2, and XOR is cheap
-            return [(acc | v).bit_count() for v in ([top ^ v for v in part] if top else part)]
-        if top:  # pk.add inlined: a split row's every entry is summed at every visit
-            return [(((acc | (u := top + v) - (((u + over) & high) >> shift) * q) + nonzero)
-                     & high).bit_count() for v in part]
-        return [(((acc | v) + nonzero) & high).bit_count() for v in part]
-
-    def within(a, b) -> int:  # counters a..b-1 inside the range
-        return min(stop, b) - max(start, a)
-
-    def walk(t, acc, base):  # row t's subtrees from counter base, under the prefix OR acc
+    def walk(t, acc, base):  # row t's subtrees from counter base, under the prefix mask acc
         nonlocal skipped, scored, best, ties
-        size, (table, highs, steps) = spans[t], tables[t]
-        lo, hi = max(0, (start - base) // size), min(counts[t], -(-(stop - base) // size))
-        m, h0 = len(table), lo // len(table)
-        top = h0 and reduce(add, [v for j, v in enumerate(highs) for _ in range(h0 // q**j % q)])
-        for h in range(h0, -(-hi // m)):  # a value of the high digits each, one if whole
-            if h > h0:  # from h - 1, digits 0..c gain 1, c the lowest nonzero digit of h
+        size, unit, (table, highs, steps) = spans[t], units[t], tables[t]
+        m, top = len(table), 0
+        for h in range(counts[t] // m):  # a value of the high digits each, one if whole
+            if h:  # from h - 1, digits 0..c gain 1, c the lowest nonzero digit of h
                 top = add(top, steps[next(j for j in count() if h // q**j % q)])
-            i = max(lo, h * m)  # row t's value at index i + k is top + part[k]
-            costs = weigh(acc, top, part := table[i - h * m : hi - h * m])
+            # at the fast row, the share's entries: row index i mod W
+            part = table[(i - h * m) % W :: W] if t == fast and W > 1 else table
+            if not highs:  # a whole row's table holds masks
+                costs = [(acc | v).bit_count() for v in part]
+            elif q == 2:
+                costs = [(acc | top ^ v).bit_count() for v in part]
+            else:  # pk.add inlined, then each field's nonzero bit: summed at every visit
+                costs = [(((u := top + v) - (((u + over) & high) >> shift) * q + bias | acc)
+                          & high).bit_count() for v in part]
             if t == fast:
                 scored += len(costs)
-                low = min(costs)
+                low = min(costs, default=best + 1)
                 if low <= best:
                     if low < best:
                         best, ties = low, []
-                    ties += [(s, base + k) for k, cost in enumerate(costs, i) if cost == low]
+                    ks = count(base + h * m + (i - h * m) % W, W)  # the share's counters
+                    ties += [(s, k) for k, cost in zip(ks, costs) if cost == low]
                 continue
-            first = base + i * size  # every subtree is counted; a walked one takes its part back
-            skipped += within(first, first + len(costs) * size)
+            first = base + h * m * size  # every subtree counted; a walked one gives it back
+            skipped += len(costs) * unit
             for k in [k for k, bound in enumerate(costs) if bound <= best]:
                 if costs[k] <= best:  # best may have fallen since
-                    a = first + k * size
-                    skipped -= within(a, a + size)
-                    walk(t + 1, acc | add(top, part[k]), a)
+                    skipped -= unit
+                    v = nonzero(add(top, part[k])) if highs else part[k]
+                    walk(t + 1, acc | v, first + k * size)
 
     fast = ell - 1
     # best: the least nonzero-field count so far, the cost plus ell (every cost is below n*ell)
     skipped, scored, best, ties = 0, 0, (ctx.order + 1) * ell, []
-    for s, start, stop in items:
+    for s in slices:
         cells = _cells(s, ell, r)
         tables, spans, counts = [], [], []
         for t, row in enumerate(_graph(ctx, cells, s, 0, one)):
-            images = [P[c] for i, c in cells if i == t]  # lowest digit first
+            images = [P[c] for u, c in cells if u == t]  # lowest digit first
             fixed = reduce(add, [P[c] for c, g in row for _ in range(g)])
-            highs = images[w:]  # steps[c]: high digits 0..c each up by one
-            tables.append((ctx._linear_table(images[:w], add, fixed), highs,
-                           list(accumulate(highs, add))))
-            spans.append(q ** sum(i > t for i, _ in cells))
+            table, highs = ctx._linear_table(images[:w], add, fixed), images[w:]
+            if q > 2 and not highs:  # a whole row keeps its values' masks
+                table = list(map(nonzero, table))
+            # steps[c]: high digits 0..c each up by one
+            tables.append((table, highs, list(accumulate(highs, add))))
+            spans.append(q ** sum(u > t for u, _ in cells))
             counts.append(q ** len(images))
+        units = [span // counts[fast] * len(range(i, counts[fast], W)) for span in spans]
         walk(0, 0, 0)
     return scored + skipped, scored, best - ell, ties
 
@@ -357,16 +333,16 @@ def min_io_exhaustive(
         raise ValueError(
             f"search would visit {expected} schemes, over the cap of {cap}"
         )
-    items = _slices(ell, r, q)
+    slices = range(ell + 1)
     workers = _resolve_workers(workers, expected)
     if workers > 1 and expected >= _PARALLEL_THRESHOLD:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
 
-        loads = _split(items, workers)
-        with ProcessPoolExecutor(max_workers=len(loads)) as pool:
-            results = list(pool.map(_scan, repeat(ctx), repeat(r), loads))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan, repeat(ctx), repeat(r), repeat(slices),
+                                    range(workers), repeat(workers)))
     else:
-        results = [_scan(ctx, r, items)]
+        results = [_scan(ctx, r, slices)]
     total = sum(count for count, _, _, _ in results)
     if total != expected:
         raise VerificationError(f"visited {total} schemes, expected {expected}")

@@ -108,7 +108,7 @@ def test_min_io_respects_the_cap():
 )
 def test_visit_count_is_the_sum_of_the_slices(q, ell, r, visited):
     assert visit_count(q, ell, r) == visited
-    assert sum(stop for _, _, stop in search._slices(ell, r, q)) == visited
+    assert sum(stop for _, _, stop in _whole(ell, r, q)) == visited
 
 
 def test_min_io_bad_parameters():
@@ -139,6 +139,11 @@ def test_parallel_scan_matches_serial(monkeypatch):
 
 
 # ---- the orbit scanner against slow oracles, and its split ----------------------------
+
+
+def _whole(ell, r, q):
+    """Every slice's whole counter range, (slice, 0, q^(free cells)): plain_scan's items."""
+    return [(s, 0, q ** len(search._cells(s, ell, r))) for s in range(ell + 1)]
 
 
 def _oracle(ctx, r, star):
@@ -185,7 +190,7 @@ def test_scanner_matches_oracle(data):
     assert count == gaussian_binomial(r * ell, ell, q)
     # the valid schemes are exactly the graphs A: C -> K
     assert valid == q ** ((r - 1) * ell * ell)
-    visited, _, least, _ = search._scan(ctx, r, search._slices(ell, r, q))
+    visited, _, least, _ = search._scan(ctx, r, range(ell + 1))
     assert (visited, least) == (visit_count(q, ell, r), cost)
     found, scheme = min_io_exhaustive(ctx, r, star=star, workers=1)
     assert found == cost
@@ -225,7 +230,7 @@ def test_tie_heavy_minimum_matches_the_subspace_oracle(monkeypatch, q, ell, r, t
     # the witness is chosen among every tied orbit's q^ell - 1 images
     monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
     ctx = FieldContext(q, ell)
-    _, _, least, tied = search._scan(ctx, r, search._slices(ell, r, q))
+    _, _, least, tied = search._scan(ctx, r, range(ell + 1))
     for star in (1, 2, ctx.order):
         count, (cost, key) = pattern_scan(ctx, r, star)
         assert count == gaussian_binomial(r * ell, ell, q)
@@ -242,7 +247,7 @@ def test_visited_orbits_cover_every_valid_scheme_once(ctx, r, star):
     pk = Packing(ctx.q, r * ctx.ell)
     visited = [
         (s, counter)
-        for s, start, stop in search._slices(ctx.ell, r, ctx.q)
+        for s, start, stop in _whole(ctx.ell, r, ctx.q)
         for counter in range(start, stop)
     ]
     images = Counter(
@@ -271,7 +276,7 @@ def test_packed_orbit_keys_match_the_polynomial_oracle(data):
     ]))
     r = data.draw(st.integers(2, 3))
     star = data.draw(st.integers(1, ctx.order))
-    slices = search._slices(ctx.ell, r, ctx.q)
+    slices = _whole(ctx.ell, r, ctx.q)
     ties = data.draw(st.lists(
         st.sampled_from(slices).flatmap(
             lambda item: st.tuples(st.just(item[0]), st.integers(0, item[2] - 1))
@@ -300,7 +305,7 @@ def test_witness_key_is_the_least_of_every_image(ctx, r):
     # images leading at a later field go unreduced, and at node 1 none is reduced;
     # the key must still be the least over every tie's every image, at every node
     pk = Packing(ctx.q, r * ctx.ell)
-    ties = search._scan(ctx, r, search._slices(ctx.ell, r, ctx.q))[3]  # every node's
+    ties = search._scan(ctx, r, range(ctx.ell + 1))[3]  # every node's
     for star in range(1, ctx.order + 1):
         assert search._witness_key(ctx, r, star, ties, pk) == min(
             packed_orbit_keys(ctx, r, star, ties, pk)
@@ -312,7 +317,7 @@ def test_witness_key_is_the_least_of_every_image(ctx, r):
 def test_witness_key_over_every_visited_orbit(ctx, r):
     # every visited scheme as a tie, so images leading at every field compete
     pk = Packing(ctx.q, r * ctx.ell)
-    visited = [(s, t) for s, start, stop in search._slices(ctx.ell, r, ctx.q)
+    visited = [(s, t) for s, start, stop in _whole(ctx.ell, r, ctx.q)
                for t in range(start, stop)]
     for star in range(1, ctx.order + 1):
         assert search._witness_key(ctx, r, star, visited, pk) == min(
@@ -326,7 +331,7 @@ def test_witness_key_over_every_visited_orbit(ctx, r):
 def test_every_image_is_already_reduced_at_node_1(ctx, r):
     # at alpha* = 0 the witness takes each image as built, unreduced
     pk = Packing(ctx.q, r * ctx.ell)
-    visited = [(s, t) for s, start, stop in search._slices(ctx.ell, r, ctx.q)
+    visited = [(s, t) for s, start, stop in _whole(ctx.ell, r, ctx.q)
                for t in range(start, stop)]
     for star, reduced in [(1, True), (2, False)]:
         built = list(packed_orbit_keys(ctx, r, star, visited, pk, reduce_=False))
@@ -366,29 +371,15 @@ def test_scaling_about_the_failed_node_keeps_every_cost(data):
 
 
 def _merge(results):
-    """Results of disjoint ranges merged as min_io_exhaustive merges them."""
+    """Results of disjoint shares merged as min_io_exhaustive merges them."""
     cost = min(best for _, _, best, _ in results)
     ties = sorted(t for _, _, best, found in results if best == cost for t in found)
     return sum(count for count, *_ in results), cost, ties
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_scan_cut_into_two_counter_ranges_matches_whole(data):
-    q, ell, r = data.draw(st.sampled_from([(2, 3, 2), (3, 2, 2), (3, 2, 3), (5, 2, 2)]))
-    ctx = FieldContext(q, ell)
-    star = data.draw(st.integers(1, ctx.order))
-    s, _, size = data.draw(st.sampled_from(
-        [item for item in search._slices(ell, r, q) if item[2] > 1]
-    ))
-    cut = data.draw(st.integers(1, size - 1))
-    whole = search._scan(ctx, r, [(s, 0, size)])
-    halves = [
-        search._scan(ctx, r, [(s, 0, cut)]),
-        search._scan(ctx, r, [(s, cut, size)]),
-    ]
-    assert whole[0] == size
-    assert _merge(halves) == _merge([whole]) == _merge([_plain(ctx, r, star, [(s, 0, size)])])
+def _shares(ctx, r, slices, W):
+    """_scan's W shares of the slices, each scanned on its own."""
+    return [search._scan(ctx, r, slices, i, W) for i in range(W)]
 
 
 # ---- the pruned scan against the unpruned walk -----------------------------------
@@ -459,22 +450,16 @@ def test_pruned_scan_matches_the_unpruned_walk(data):
     # rows whole at the first budget, and at 30, 8 and 2 GF(8) rows some split slow
     # and fast rows, down to w = 0 at odd q
     budget = data.draw(st.sampled_from(_BUDGETS + [30 * _GF8_ROW]))
-    slices = search._slices(ell, r, q)
-    if data.draw(st.booleans()):
-        loads = search._split(slices, data.draw(st.integers(2, 4)))
-    else:  # ranges that mostly start and stop inside one fast row's counters
-        spans = st.sampled_from(slices).flatmap(lambda item: st.lists(
-            st.integers(0, item[2]), min_size=2, max_size=2, unique=True
-        ).map(lambda ends: (item[0], *sorted(ends))))
-        loads = [data.draw(st.lists(spans, min_size=1, max_size=3))]
-    for load in loads:
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search, "_BLOCK_BUDGET", budget)
-            pruned = search._scan(ctx, r, load)
-        plain = _plain(ctx, r, star, load)
-        assert pruned[0] == sum(stop - start for _, start, stop in load)
-        assert 0 < pruned[1] <= pruned[0]
-        assert _merge([pruned]) == _merge([plain])
+    items = data.draw(st.lists(st.sampled_from(_whole(ell, r, q)), min_size=1, max_size=3,
+                               unique=True))
+    W = data.draw(st.integers(1, 5))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_BLOCK_BUDGET", budget)
+        shares = _shares(ctx, r, [s for s, _, _ in items], W)
+    plain = _plain(ctx, r, star, items)
+    assert sum(count for count, *_ in shares) == sum(stop for _, _, stop in items)
+    assert 0 < sum(scored for _, scored, _, _ in shares) <= plain[0]
+    assert _merge(shares) == _merge([plain])
 
 
 @pytest.mark.parametrize("q,ell,r,ties", [(2, 3, 3, 75), (2, 5, 2, 305)])
@@ -482,28 +467,23 @@ def test_pruning_keeps_every_tie(q, ell, r, ties):
     # a prune at >= would skip the tied schemes whose fast row adds no weight
     # to the slow rows: 214 of the 305 at q=2 ell=5 r=2
     ctx = FieldContext(q, ell)
-    items = search._slices(ell, r, q)
-    pruned = search._scan(ctx, r, items)
+    pruned = search._scan(ctx, r, range(ell + 1))
     assert (pruned[0], len(pruned[3])) == (visit_count(q, ell, r), ties)
-    assert _merge([pruned]) == _merge([_plain(ctx, r, 1, items)])
+    assert _merge([pruned]) == _merge([_plain(ctx, r, 1, _whole(ell, r, q))])
 
 
 def test_pruned_scan_matches_on_split_loads(monkeypatch):
-    # 5 loads of 7 578 visits, each cut inside a fast row's 64 counters (and
-    # inside a chunk of 8 or 2 at the smaller budgets); each load's walk skips the
-    # subtree holding its cut, clipped, and the next load costs the rest of it
-    items = search._slices(3, 3, 2)
-    loads = search._split(items, 5)
-    assert [(s, stop % 64) for s, _, stop in (load[-1] for load in loads[:-1])] == [
-        (0, 26), (0, 52), (0, 14), (0, 40),
-    ]
-    for load in loads:
-        plains = [_merge([_plain(GF8, 3, star, load)]) for star in (1, 5)]
-        for budget in _BUDGETS:
-            monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
-            pruned = search._scan(GF8, 3, load)
-            assert pruned[0] == sum(stop - start for _, start, stop in load)
-            assert [_merge([pruned])] * 2 == plains  # the node-free scan is both nodes'
+    # W shares of 64-value fast rows (and of their chunks of 8 or 2 at the smaller
+    # budgets): each share's walk prunes the subtrees its own entries let it, and
+    # the shares' merge is the serial scan's and the unpruned walk's
+    slices, items = range(4), _whole(3, 3, 2)
+    plains = [_merge([_plain(GF8, 3, star, items)]) for star in (1, 5)]
+    for budget in _BUDGETS:
+        monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
+        serial = _merge([search._scan(GF8, 3, slices)])
+        assert [serial] * 2 == plains  # the node-free scan is both nodes'
+        for W in (2, 3, 5):
+            assert _merge(_shares(GF8, 3, slices, W)) == serial
 
 
 @pytest.mark.parametrize("budget", _BUDGETS, ids=map(str, _ROWS))
@@ -518,16 +498,15 @@ def test_scored_is_pinned_at_every_node(monkeypatch, budget, q, ell, r, stars, s
     # and a split table, which only chunks a row's values, must not change it
     monkeypatch.setattr(search, "_BLOCK_BUDGET", budget)
     ctx = FieldContext(q, ell)
-    items = search._slices(ell, r, q)
-    result = search._scan(ctx, r, items)
+    result = search._scan(ctx, r, range(ell + 1))
     visited, scored, cost, ties = result
     assert (visited, scored, cost, len(ties)) == scan
     for star in stars:  # the node-free scan is every node's unpruned walk
-        assert _merge([result]) == _merge([_plain(ctx, r, star, items)])
+        assert _merge([result]) == _merge([_plain(ctx, r, star, _whole(ell, r, q))])
 
 
 def test_pruning_fires_and_the_count_check_reads_visits(monkeypatch):
-    visited, scored, cost, ties = search._scan(GF8, 3, search._slices(3, 3, 2))
+    visited, scored, cost, ties = search._scan(GF8, 3, range(4))
     assert (visited, scored, cost, len(ties)) == (37_888, 13_680, 13, 75)
     # the check passes on visits, though only 13 680 schemes were scored
     assert min_io_exhaustive(GF8, 3, workers=1)[0] == 13
@@ -545,34 +524,27 @@ def test_pruning_fires_and_the_count_check_reads_visits(monkeypatch):
 @pytest.mark.parametrize("q,ell,r", [(2, 3, 3), (3, 3, 2), (5, 2, 3), (2, 2, 2), (3, 1, 2)])
 @pytest.mark.parametrize("workers", [1, 2, 3, 5])
 def test_split_is_exact_and_balanced(q, ell, r, workers):
-    items = search._slices(ell, r, q)
-    total = visit_count(q, ell, r)
-    loads = search._split(items, workers)
-    weights = [sum(stop - start for _, start, stop in load) for load in loads]
-    assert sum(weights) == total
-    assert len(loads) <= workers
-    assert max(weights) <= -(-total // workers)
-    # every slice's counter range is covered exactly once, in order
-    pieces = {}
-    for load in loads:
-        for s, start, stop in load:
-            assert 0 <= start < stop
-            pieces.setdefault(s, []).append((start, stop))
-    for s, _, size in items:
-        spans = pieces[s]
-        assert spans[0][0] == 0 and spans[-1][1] == size
-        assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
+    # share i counts len(range(i, F, W)) of each of a slice's size / F fast rows
+    # of F values, so the shares sum to the visit count and differ by at most one
+    # value per fast row
+    ctx = FieldContext(q, ell)
+    shares = _shares(ctx, r, range(ell + 1), workers)
+    assert sum(count for count, *_ in shares) == visit_count(q, ell, r)
+    for i, (count, scored, _, _) in enumerate(shares):
+        assert scored <= count == sum(
+            size // F * len(range(i, F, workers))
+            for s, _, size in _whole(ell, r, q)
+            for F in [q ** sum(t == ell - 1 for t, _ in search._cells(s, ell, r))]
+        )
 
 
 def test_split_loads_scan_to_the_serial_result():
     ctx, r, star = GF9, 3, 4
-    items = search._slices(ctx.ell, r, ctx.q)
-    serial = search._scan(ctx, r, items)
+    serial = search._scan(ctx, r, range(ctx.ell + 1))
     assert serial[0] == visit_count(3, 2, 3)
-    assert _merge([serial]) == _merge([_plain(ctx, r, star, items)])
+    assert _merge([serial]) == _merge([_plain(ctx, r, star, _whole(ctx.ell, r, ctx.q))])
     for workers in (2, 3, 7):
-        loads = search._split(items, workers)
-        assert _merge([search._scan(ctx, r, load) for load in loads]) == _merge([serial])
+        assert _merge(_shares(ctx, r, range(ctx.ell + 1), workers)) == _merge([serial])
 
 
 def test_worker_env_cap(monkeypatch):

@@ -10,9 +10,9 @@ ell with the smallest encoding, for fields up to 5^12), and a working basis of F
 over B (default: the polynomial basis 1, x, ..., x^{ell-1}).  When the field is
 small enough mul and power read discrete log/antilog tables, else they run direct
 polynomial arithmetic; add is XOR at q = 2, digit-wise sums else.  Every other
-operation is derived from these three, and the trace, B-linear, is the dot product
-of a's digits with the monomials' traces, for every field.  All arithmetic is
-exact — no floating point.
+operation is derived from these three.  The trace, B-linear, is the dot product of
+a's digits with the monomials' traces, which Newton's identities read off the
+modulus, for every field.  All arithmetic is exact — no floating point.
 
 Every table is filled by linearity over B.  Multiplication by the generator g and
 both coordinate expansions are B-linear maps f, so f is fixed by its ell values at
@@ -263,18 +263,15 @@ class FieldContext:
         self._exp, self._log = exp * 2, log
 
     def _monomial_traces(self) -> list[int]:
-        """Tr(x^j) for j < ell, each the sum of its Frobenius orbit; the trace is
-        B-linear, so these fix it everywhere."""
-        out = []
-        for j in range(self.ell):
-            t = b = self.q**j
-            for _ in range(self.ell - 1):
-                b = self.frobenius(b)
-                t = self.add(t, b)
-            if t >= self.q:
-                raise AssertionError("trace left the subfield")
-            out.append(t)
-        return out
+        """Tr(x^j) for j < ell, the power sums p_j of the modulus's roots (x and its
+        conjugates) by Newton's identities, with no field operation: a the modulus,
+        ascending, p_0 = ell and p_k = -(sum_{0<i<k} a[ell-i] p_{k-i} + k a[ell-k]) mod q.
+        The trace is B-linear, so these fix it everywhere."""
+        a, ell, q = self.modulus, self.ell, self.q
+        p = [ell % q]
+        for k in range(1, ell):
+            p.append(-(sum(a[ell - i] * p[k - i] for i in range(1, k)) + k * a[ell - k]) % q)
+        return p
 
     # ---- field operations ---------------------------------------------------
 

@@ -26,22 +26,13 @@ class Packing:
         self.ones = ((1 << b * width) - 1) // self.mask
         self.high = self.ones << (b - 1)
         self.over = ((1 << (b - 1)) - q) * self.ones
-        # byte x -> the ASCII digit of x mod q, which int() reads in base 2^b for b <= 5
-        self._chars = (bytes(range(48, 48 + q)) * 256)[:256] if b <= 5 else None
         if q == 2:
             self.add = xor  # shadows the method below; reduce() runs it in C
 
     def pack(self, digits) -> int:
-        """The packed row of a sequence of integers, read mod q: where a field
-        is one int() digit, by bytes, translate and int in base 2^b."""
-        q, b, chars = self.q, self.b, self._chars
-        if chars is None:
-            return reduce(lambda v, d: v << b | d % q, digits, 0)
-        try:
-            raw = bytes(digits)
-        except ValueError:  # an entry outside 0..255
-            raw = bytes([d % q for d in digits])
-        return int(raw.translate(chars) or b"0", 1 << b)
+        """The packed row of a sequence of integers, read mod q, one field at a time."""
+        q, b = self.q, self.b
+        return reduce(lambda v, d: v << b | d % q, digits, 0)
 
     def unpack(self, v: int) -> list[int]:
         b, size = self.b, self.width * self.b

@@ -19,7 +19,8 @@ Both read one packed I/O table (_table), built once per scheme on first use from
 FieldContext.coord_rows: the ell stacked rows, every node's ell rows (its rank is one
 linalg.echelon run) and every node's read columns, the nonzero fields of the OR of
 its rows.  The direct route reads those columns; the formula route only the stacked
-rows, whose row-space weight linalg.coset_weight gives in closed form.
+rows, whose row-space weight linalg.coset_weight gives in closed form.  validate
+ranks the failed node's values on the same coord_rows rows, by one linalg.echelon.
 
 Repair reads the stacked rows too.  With the failed node's fields cleared, row j
 splits into bit planes R_{j,b} = (row_j >> b) & ones, b < bitlen(q - 1), and the read
@@ -100,13 +101,14 @@ class RepairScheme:
                     f"dual codeword {j} has degree {poly_deg(g)}, "
                     f"outside the dual code (max {bound})"
                 )
-        alpha = self.code.eval_points[self.star - 1]
-        coords = [list(self.ctx.digits(poly_eval(self.ctx, g, alpha))) for g in self.duals]
-        r = linalg.rank(coords, self.ctx.q)
-        if r != self.ctx.ell:
+        ctx, alpha = self.ctx, self.code.eval_points[self.star - 1]
+        values = [poly_eval(ctx, g, alpha) for g in self.duals]
+        rows = ctx.coord_rows(values, dual=True)[0]  # an invertible B-linear image of digits
+        r = len(linalg.echelon(linalg.Packing(ctx.q, ctx.ell), map(rows.__getitem__, values)))
+        if r != ctx.ell:
             return (
                 f"dual codeword values at node {self.star} span dimension "
-                f"{r} < {self.ctx.ell}; the erased symbol is not recoverable"
+                f"{r} < {ctx.ell}; the erased symbol is not recoverable"
             )
         return None
 

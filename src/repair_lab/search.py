@@ -160,14 +160,11 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
         for image in images
     ]
     scalings = range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,)
-    tables = [  # per c, c^d e_{d,u} packed, at index d*ell + u
-        [psi_d[ctx.mul(ctx.power(c, d), b)] for d, psi_d in enumerate(psi) for b in ctx.basis]
-        for c in scalings
-    ]
-    # every c's entry side by side, c = 1 most significant: one sum gives every image's row
     full, lanes = r * ell * pk.b, len(scalings)
-    wide = Packing(q, r * ell * lanes)
-    entry = [reduce(lambda v, x: v << full | x, column) for column in zip(*tables)]
+    wide, spec = Packing(q, r * ell * lanes), f"0{full}b"
+    # every c's c^d e_{d,u} side by side, c = 1 first: one sum gives every image's row
+    entry = [int("".join([format(psi_d[ctx.mul(ctx.power(c, d), b)], spec) for c in scalings]), 2)
+             for d, psi_d in enumerate(psi) for b in ctx.basis]  # at index d*ell + u
     one, mask = ctx.basis_coords(1), (1 << full) - 1
     cells = [_cells(s, ell, r) for s in range(ell + 1)]
     best, above = [1 << full], 0  # best is above every key; `above`, the bits above its lead

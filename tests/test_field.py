@@ -423,12 +423,21 @@ def test_large_field_without_tables():
     assert ctx._rows == {}
 
 
-@pytest.mark.parametrize("q, ell", [(2, 17), (5, 7), (2, 4), (3, 3), (5, 2)])
-def test_table_free_trace_is_the_frobenius_orbit_sum(q, ell):
-    # with or without tables the trace is read off its values at the monomials
-    ctx = FieldContext(q, ell)
+_TRACE_CASES = [(2, 17, None), (5, 7, None), (2, 4, None), (3, 3, None), (5, 2, None),
+                (2, 1, None), (7, 1, None), (2, 3, (1, 0, 1, 1)), (3, 2, (2, 1, 1))]
+
+
+@pytest.mark.parametrize(
+    "q, ell, modulus", _TRACE_CASES,
+    ids=[f"{q}-{ell}" + (f"-{''.join(map(str, m))}" if m else "") for q, ell, m in _TRACE_CASES],
+)
+def test_table_free_trace_is_the_frobenius_orbit_sum(q, ell, modulus):
+    # with or without tables, at ell = 1 and under non-default moduli (x^3+x^2+1 over
+    # GF(2), x^2+x+2 over GF(3)), the trace read off the modulus by Newton's identities
+    # is the sum of the Frobenius orbit
+    ctx = FieldContext(q, ell, modulus)
     rng = random.Random(17)
-    for a in [0, 1, q, *(rng.randrange(ctx.order) for _ in range(20))]:
+    for a in [0, 1, q % ctx.order, *(rng.randrange(ctx.order) for _ in range(20))]:
         orbit, b = 0, a
         for _ in range(ell):
             orbit, b = ctx.add(orbit, b), ctx._pow_raw(b, q)

@@ -226,7 +226,7 @@ def test_packed_rank_and_rref_reduce_any_integer_mod_p(case):
 @given(_matrices(primes=(65537, 2**61 - 1), max_rows=5, max_cols=5))
 @example((2**61 - 1, [[2**61 - 2, 1, 3], [1, 2**60, 2**61 - 2], [2**61 - 3, 2, 5]]))
 def test_packed_elimination_at_large_primes(case):
-    # fields too wide for one int() digit: packed one digit at a time, scaled by doubling
+    # fields of 18 and 63 bits: packed like any other, and scaled by doubling
     p, rows = case
     _check_against_the_oracle(rows, p)
 

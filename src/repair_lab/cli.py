@@ -46,6 +46,11 @@ def _field_flags(sub) -> None:
     sub.add_argument("--basis", help="working basis as encoded elements, e.g. 1,2,4")
 
 
+def _search_flags(sub) -> None:
+    sub.add_argument("--r", type=int, required=True, help="number of parities n - k")
+    sub.add_argument("--workers", type=int, default=None, help="worker processes")
+
+
 def _dumps(v, pad: str = "\n") -> str:
     """json.dumps(v, indent=2), byte for byte, without its generator machinery: lists,
     tuples and str-keyed dicts are laid out here, ints and strs written as json writes
@@ -191,7 +196,7 @@ def _cmd_repair_demo(args) -> int:
             f"(s={s}, seed {args.seed})"
         )
         for i, cols in sorted(reads.items()):
-            print(f"  helper {i}: reads subsymbols {cols}")
+            print(f"  helper {i}: reads subsymbols {list(cols)}")
         print(f"total subsymbols read: {total} (scheme reports {p['io_cost']})")
         print("recovered: exact" if exact else "recovered: MISMATCH")
 
@@ -303,15 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search-min", help="exhaustive minimum I/O over all schemes")
     _field_flags(p)
-    p.add_argument("--r", type=int, required=True, help="number of parities n - k")
+    _search_flags(p)
     p.add_argument("--node", type=int, default=1, help="failed node index (default 1)")
-    p.add_argument("--workers", type=int, default=None, help="worker processes")
     p.set_defaults(fn=_cmd_search_min)
 
     p = sub.add_parser("verify", help="check the certified lower bound for r parities")
     _field_flags(p)
-    p.add_argument("--r", type=int, required=True, help="number of parities n - k")
-    p.add_argument("--workers", type=int, default=None, help="worker processes")
+    _search_flags(p)
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("compare", help="closed-form baseline comparison table")

@@ -138,12 +138,12 @@ class RepairScheme:
         pk = linalg.Packing(self.ctx.q, self.ctx.ell)
         return [pk.unpack(row) for row in self._table[1][i - 1]]
 
-    def accessed_subsymbols(self, i: int) -> list[int]:
+    def accessed_subsymbols(self, i: int) -> tuple[int, ...]:
         """1-based indices of the subsymbols repair reads at helper i."""
         self._check_node(i)
         if i == self.star:
             raise ValueError("the failed node is not read")
-        return list(self._table[2][i - 1])
+        return self._table[2][i - 1]
 
     def helpers(self) -> list[int]:
         return [i for i in range(1, self.code.n + 1) if i != self.star]
@@ -209,14 +209,14 @@ class RepairScheme:
         reads = {i: cols for i, cols in enumerate(columns, 1) if cols and i != star}
         return planes, mask, reads
 
-    def repair_transcript(self, symbols) -> tuple[int, dict[int, list[int]]]:
+    def repair_transcript(self, symbols) -> tuple[int, dict[int, tuple[int, ...]]]:
         """Repair the erased symbol, returning (value, subsymbols read per helper).
 
         `symbols` is the codeword with None at the failed position and a field
         element at every helper.  Each helper's stored subsymbols are its symbol's
         working-basis coordinates; only those under nonzero I/O matrix columns are
         touched, and the transcript records exactly which (1-based, per helper
-        node index)."""
+        node index), as the scheme's own column tuples in a fresh dict."""
         self.require_valid()
         ctx, n, q, star = self.ctx, self.code.n, self.ctx.q, self.star
         symbols = list(symbols)
@@ -243,7 +243,7 @@ class RepairScheme:
         value = 0
         for j, mu in enumerate(self._recon):
             value = ctx.add(value, ctx.mul((-totals[j]) % q, mu))
-        return value, {i: list(cols) for i, cols in reads.items()}
+        return value, dict(reads)
 
     # ---- translation to another node ------------------------------------------------
 
@@ -316,9 +316,12 @@ class RepairScheme:
         duals = data.get("duals")
         if not isinstance(duals, list) or not all(is_int_list(g) for g in duals):
             raise ValueError("scheme field 'duals' must be a list of integer lists")
-        ctx = field_context(data["q"], data["ell"], data.get("modulus"), data.get("basis"))
-        if ctx.order > MAX_ORDER:
-            raise ValueError(f"field order {ctx.order} is over the limit of {MAX_ORDER}")
+        q, ell, top = data["q"], data["ell"], MAX_ORDER.bit_length()  # 2^top > MAX_ORDER
+        # before any field is built, as checking a modulus is exponential in ell
+        if q > 1 and ell > 0 and q ** min(ell, top) > MAX_ORDER:
+            order = q if ell == 1 else f"{q}^{ell}"  # q^ell itself can be too long to print
+            raise ValueError(f"field order {order} is over the limit of {MAX_ORDER}")
+        ctx = field_context(q, ell, data.get("modulus"), data.get("basis"))
         n = data.get("n", ctx.order)
         if not _is_int(n) or n != ctx.order:
             raise ValueError(f"scheme field 'n' must be q^ell = {ctx.order}, got {n!r}")

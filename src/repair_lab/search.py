@@ -26,12 +26,12 @@ walk is an exact branch and bound: a scheme's cost is the nonzero-field count of
 its rows' OR, less ell, and an OR only gains weight, so the rows above a subtree
 bound every scheme in it; a subtree whose bound exceeds the best cost so far
 (strictly, so every tie is still scored) is skipped but counted as visited.
-Worker i of W (the CPU count and REPAIR_LAB_THREADS cap W) walks every slice
-but costs only the fast-row values whose index in the row is i mod W, a cyclic
-share that spreads each surviving subtree over every worker; each keeps its
-least cost and every (slice, counter) reaching it.  The witness, whatever
-the worker count, is the lexicographically smallest reduced-echelon basis (over
-the basis[t] * x^d) among the tied orbits' members.  A tie's rows are read off
+Worker i of W (at most the CPU count) walks every slice but costs only the
+fast-row values whose index in the row is i mod W, a cyclic share that spreads
+each surviving subtree over every worker; each keeps its least cost and every
+(slice, counter) reaching it.  The witness, whatever the worker count, is the
+lexicographically smallest reduced-echelon basis (over the basis[t] * x^d) among
+the tied orbits' members.  A tie's rows are read off
 its counter digits; a scaling is B-linear in the e_{d,u} coordinates, and psi_d,
 the table of a -> a * (x - alpha*)^d in linalg's row format (column 0 most
 significant, so integer order is tuple order), gives each c's table
@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import os
 import sys
-from functools import reduce
-from itertools import accumulate, chain, count, repeat
+from functools import partial, reduce
+from itertools import accumulate, chain, count
 from operator import or_
 
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
@@ -287,22 +287,12 @@ def _scan(ctx: FieldContext, r: int, slices, i: int = 0, W: int = 1):
     return scored + skipped, scored, best - ell, ties
 
 
-def _check_workers(workers: int | None) -> None:
+def _workers(workers: int | None) -> int:
+    """A search's processes: workers, capped at the CPU count (None means the CPU count)."""
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-
-
-def _resolve_workers(workers: int | None, nitems: int) -> int:
     cpus = os.cpu_count() or 1
-    workers = cpus if workers is None else min(workers, cpus)
-    env = os.environ.get("REPAIR_LAB_THREADS")
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"REPAIR_LAB_THREADS must be an integer, got {env!r}") from None
-        workers = min(workers, max(1, cap))
-    return max(1, min(workers, nitems))
+    return cpus if workers is None else min(workers, cpus)
 
 
 def min_io_exhaustive(
@@ -319,7 +309,7 @@ def min_io_exhaustive(
     Raises ValueError when the visit count exceeds the cap or workers < 1
     (None means one per CPU, and more than that are not started).
     """
-    _check_workers(workers)
+    W = _workers(workers)
     n, ell, q = ctx.order, ctx.ell, ctx.q
     if not 2 <= r <= n - 1:
         raise ValueError(f"need 2 <= r <= n-1, got r={r}")
@@ -331,13 +321,11 @@ def min_io_exhaustive(
             f"search would visit {expected} schemes, over the cap of {cap}"
         )
     slices = range(ell + 1)
-    workers = _resolve_workers(workers, expected)
-    if workers > 1 and expected >= _PARALLEL_THRESHOLD:
+    if W > 1 and expected >= _PARALLEL_THRESHOLD:
         from concurrent.futures import ProcessPoolExecutor  # imported only where a pool starts
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_scan, repeat(ctx), repeat(r), repeat(slices),
-                                    range(workers), repeat(workers)))
+        with ProcessPoolExecutor(max_workers=W) as pool:
+            results = list(pool.map(partial(_scan, ctx, r, slices, W=W), range(W)))
     else:
         results = [_scan(ctx, r, slices)]
     total = sum(count for count, _, _, _ in results)
@@ -366,7 +354,7 @@ def verify_bound(
     VerificationError if the exhaustive minimum ever undercuts the bound or the
     construction undercuts the minimum.  Raises ValueError for workers < 1.
     """
-    _check_workers(workers)
+    _workers(workers)
     n, ell, q = ctx.order, ctx.ell, ctx.q
     if not 2 <= r <= n - 1:
         raise ValueError(f"need 2 <= r <= n-1, got r={r}")

@@ -255,7 +255,7 @@ def io_matrix_oracle(scheme: RepairScheme, i: int) -> list[list[int]]:
     return [list(ctx.dual_coords(ctx._mul_raw(v, poly_eval(ctx, g, alpha)))) for g in scheme.duals]
 
 
-def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int, list[int]]]:
+def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int, tuple[int, ...]]]:
     """The per-helper trace repair the library ran before its packed rows: a
     loop over every helper, I/O matrix row and read column.  Every matrix comes
     from io_matrix_oracle and the failed node's inverse from the list rref, so
@@ -267,7 +267,7 @@ def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int
         raise ValueError(f"expected {n} symbols, got {len(symbols)}")
     if symbols[self.star - 1] is not None:
         raise ValueError(f"node {self.star} must be erased (None)")
-    reads: dict[int, list[int]] = {}
+    reads: dict[int, tuple[int, ...]] = {}
     totals = [0] * ell
     for i in self.helpers():
         if symbols[i - 1] is None:
@@ -277,7 +277,7 @@ def repair_transcript_oracle(self: RepairScheme, symbols) -> tuple[int, dict[int
         if not cols:
             continue
         stored = ctx.basis_coords(symbols[i - 1])
-        reads[i] = [c + 1 for c in cols]
+        reads[i] = tuple(c + 1 for c in cols)
         for j in range(ell):
             totals[j] += sum(w[j][t] * stored[t] for t in cols)
     # mu_j with Tr(g_j(alpha_star) * mu_j') = 1 iff j == j': the columns of the

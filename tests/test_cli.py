@@ -394,15 +394,6 @@ def test_nonpositive_workers_exit_2(capsys, command, workers):
     assert err == f"error: workers must be >= 1, got {workers}\n"
 
 
-@pytest.mark.parametrize("value", ["abc", "2.5", " "])
-def test_bad_worker_env_exits_2_naming_it(capsys, monkeypatch, value):
-    monkeypatch.setenv("REPAIR_LAB_THREADS", value)
-    code, out, err = _run(capsys, "search-min", "--q", "2", "--ell", "2", "--r", "2")
-    assert code == 2
-    assert out == ""
-    assert err == f"error: REPAIR_LAB_THREADS must be an integer, got {value!r}\n"
-
-
 def test_verify_human(capsys):
     code, out, _ = _run(capsys, "verify", "--q", "2", "--ell", "2", "--r", "2")
     assert code == 0

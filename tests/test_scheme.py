@@ -120,7 +120,7 @@ def test_io_matrix_full_rank_at_failed_node():
 def test_accessed_subsymbols():
     scheme = _trivial_scheme(GF8, 5)
     for i in scheme.helpers():
-        assert scheme.accessed_subsymbols(i) == [1, 2, 3]
+        assert scheme.accessed_subsymbols(i) == (1, 2, 3)
     with pytest.raises(ValueError, match="failed"):
         scheme.accessed_subsymbols(scheme.star)
 
@@ -538,13 +538,13 @@ def test_large_q_repair_matches_the_oracle(q, ell, modulus):
 
 
 def test_repair_returns_fresh_read_lists():
+    # a fresh dict of the scheme's own column tuples: clearing it leaves the scheme whole
     scheme = build_low_io_scheme(GF8, 5, 1)
     word = scheme.code.random_codeword(3)
     erased, word[0] = word[0], None
     first = scheme.repair_transcript(word)[1]
-    expected = {i: list(cols) for i, cols in first.items()}
-    for cols in first.values():
-        cols.append(99)
+    assert first and all(type(cols) is tuple for cols in first.values())
+    expected = dict(first)
     first.clear()
     assert scheme.repair_transcript(word) == (erased, expected)
 
@@ -701,6 +701,22 @@ def test_from_dict_bounds_the_order():
     for q in (MAX_ORDER + 1, 100000007):  # both prime
         with pytest.raises(ValueError, match=f"field order {q} is over the limit of 65536"):
             RepairScheme.from_dict({"q": q, "ell": 1, "k": 2, "star": 1, "duals": [[1]]})
+
+
+def test_from_dict_refuses_an_oversized_field_before_building_it(monkeypatch):
+    # checking an explicit modulus is exponential in ell: x^60 + x + 1 must not be tried
+    from repair_lab import scheme
+
+    def unbuilt(*args):
+        raise AssertionError("field_context called for an oversized field")
+
+    monkeypatch.setattr(scheme, "field_context", unbuilt)
+    modulus = [1, 1] + [0] * 58 + [1]
+    for q, ell, order in ((3, 11, "3^11"), (2, 17, "2^17"), (2, 60, "2^60"), (2, 10**12, f"2^{10**12}")):
+        doc = {"q": q, "ell": ell, "modulus": modulus, "k": 2, "star": 1, "duals": [[1]]}
+        with pytest.raises(ValueError) as refused:
+            RepairScheme.from_dict(doc)
+        assert str(refused.value) == f"field order {order} is over the limit of 65536"
 
 
 def test_short_code_scheme_does_not_serialize():

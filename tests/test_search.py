@@ -547,16 +547,6 @@ def test_split_loads_scan_to_the_serial_result():
         assert _merge(_shares(ctx, r, range(ctx.ell + 1), workers)) == _merge([serial])
 
 
-def test_worker_env_cap(monkeypatch):
-    monkeypatch.setattr(search.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("REPAIR_LAB_THREADS", "1")
-    assert search._resolve_workers(None, 100) == 1
-    assert search._resolve_workers(8, 100) == 1
-    monkeypatch.delenv("REPAIR_LAB_THREADS")
-    assert search._resolve_workers(3, 100) == 3
-    assert search._resolve_workers(3, 2) == 2
-
-
 def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     # a huge worker count must not fork one process per requested worker
     sizes = []
@@ -579,14 +569,24 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(search, "_PARALLEL_THRESHOLD", 1)
     monkeypatch.setattr(search.os, "cpu_count", lambda: 2)
-    monkeypatch.delenv("REPAIR_LAB_THREADS", raising=False)
     ctx = FieldContext(2, 4)
     serial_cost, serial_witness = min_io_exhaustive(ctx, 2, workers=1)
     cost, witness = min_io_exhaustive(ctx, 2, workers=10**6)
     assert sizes == [2]
     assert cost == serial_cost == 52
     assert witness.to_dict() == serial_witness.to_dict()
-    assert search._resolve_workers(None, 10**9) == 2
+    assert search._workers(None) == 2
+    assert search._workers(1) == 1  # under the CPU count: kept
+    assert search._workers(3) == 2  # above it: capped
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_bound(GF8, 2, workers=0, cap=10),  # the search is skipped
+    lambda: min_io_exhaustive(GF8, 2, workers=0, cap=1),  # the search is over the cap
+], ids=["verify-skips-the-search", "search-over-the-cap"])
+def test_nonpositive_workers_raise_before_anything_else(call):
+    with pytest.raises(ValueError, match=r"^workers must be >= 1, got 0$"):
+        call()
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .construction import (
@@ -51,18 +52,40 @@ def _search_flags(sub) -> None:
     sub.add_argument("--workers", type=int, default=None, help="worker processes")
 
 
+def _column(col: list, pad: str):
+    """One key's values down a list of records, as texts at indent `pad`: exact ints by one
+    map, exact-int lists once per distinct content (exact ints only, as (1,) == (True,))."""
+    if {*map(type, col)} == {int}:
+        return map(int.__repr__, col)
+    if {*map(type, col)} <= {list, tuple} and {*map(type, chain.from_iterable(col))} == {int}:
+        memo = {}
+        return [memo[t] if t in memo else memo.setdefault(t, _dumps(t, pad))
+                for t in map(tuple, col)]
+    return [_dumps(y, pad) for y in col]
+
+
 def _dumps(v, pad: str = "\n") -> str:
     """json.dumps(v, indent=2), byte for byte, without its generator machinery: lists,
     tuples and str-keyed dicts are laid out here, ints and strs written as json writes
     them (a list of exact ints by one join, a dict's int values inline), and any other
-    value is left to json.dumps."""
+    value is left to json.dumps.  A list of records (exact dicts, one non-empty tuple of
+    str keys in one order) fills one row template from each key's _column."""
     inner = pad + "  "
     if type(v) is int or type(v) is str:
         return int.__repr__(v) if type(v) is int else encode_basestring_ascii(v)
     if isinstance(v, (list, tuple)):
         if {*map(type, v)} == {int}:  # exact ints: a bool or an int subclass is not one
             return "[" + inner + ("," + inner).join(map(int.__repr__, v)) + pad + "]"
-        items, ends = [_dumps(x, inner) for x in v], "[]"
+        keys, ends = tuple(v[0]) if v and type(v[0]) is dict else (), "[]"
+        if keys and all(type(k) is str for k in keys) and all(
+            type(x) is dict and tuple(x) == keys for x in v
+        ):
+            row = inner + "  "  # a key's % is doubled: the template's only format is %s
+            fields = (encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys)
+            template = "{" + row + ("," + row).join(fields) + inner + "}"
+            items = [*map(template.__mod__, zip(*(_column([x[k] for x in v], row) for k in keys)))]
+        else:
+            items = [_dumps(x, inner) for x in v]
     elif isinstance(v, dict) and all(type(k) is str for k in v):
         items = [
             encode_basestring_ascii(k) + ": "

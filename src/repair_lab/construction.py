@@ -19,7 +19,7 @@ from __future__ import annotations
 from .fieldmath import FieldContext, _is_prime
 from .qpoly import qp_image, qp_to_poly, solve_annihilator
 from .rs import RSCode
-from .scheme import RepairScheme
+from .scheme import RepairScheme, check_order
 
 
 def predicted_cost(q: int, ell: int, s: int) -> int:
@@ -56,7 +56,9 @@ def check_feasible(q: int, ell: int, s: int, k: int) -> None:
 
 def build_low_io_scheme(ctx: FieldContext, k: int, s: int) -> RepairScheme:
     """Construct the scheme for the full-length code of dimension k at node 1;
-    see check_feasible for the parameters it accepts."""
+    see check_feasible for the parameters it accepts and scheme.check_order for the
+    field sizes."""
+    check_order(ctx.q, ctx.ell)
     check_feasible(ctx.q, ctx.ell, s, k)
     code = RSCode.full_length(ctx, k)
     duals = []

@@ -192,6 +192,13 @@ class FieldContext:
         if not _is_int(a) or not 0 <= a < self.order:
             raise ValueError(f"not a field element: {a!r}")
 
+    def _check_elements(self, values) -> None:
+        """_check_element on every one of a sequence of values, in one pass while all are
+        exact ints in range; otherwise element by element, to name the first bad one."""
+        if {*map(type, values)} != {int} or min(values) < 0 or max(values) >= self.order:
+            for a in values:
+                self._check_element(a)
+
     def digits(self, a: int) -> tuple[int, ...]:
         """Polynomial coordinates of a, little-endian base-q digits."""
         out = []

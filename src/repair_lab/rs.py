@@ -19,8 +19,7 @@ class RSCode:
 
     def __init__(self, ctx: FieldContext, eval_points, k: int):
         points = tuple(eval_points)
-        for a in points:
-            ctx._check_element(a)
+        ctx._check_elements(points)
         if len(set(points)) != len(points):
             raise ValueError("evaluation points must be distinct")
         if not 1 <= k < len(points):
@@ -47,9 +46,7 @@ class RSCode:
         Raises ValueError for a coefficient outside the field or a degree >= k.
         """
         message = list(message)
-        if set(map(type, message)) != {int} or min(message) < 0 or max(message) >= self.ctx.order:
-            for c in message:
-                self.ctx._check_element(c)
+        self.ctx._check_elements(message)
         if poly_deg(message) >= self.k:
             raise ValueError(f"message degree {poly_deg(message)} >= k={self.k}")
         return self._evaluate(message)

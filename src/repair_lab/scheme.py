@@ -53,11 +53,23 @@ from .fieldmath import (
 )
 from .rs import RSCode
 
-# Largest field order, and so full length n, that RepairScheme.from_dict accepts: a
-# scheme builds and costs all n nodes, so a document naming a prime q near 10^8 would
-# exhaust memory rather than fail.  It is fieldmath's one bound on a small field, the
-# largest tabulated one, so the limit and the tables cannot drift apart.
+# Largest field order, and so full length n, that RepairScheme.from_dict and
+# construction.build_low_io_scheme accept (check_order): a scheme builds and costs all
+# n nodes, so a document naming a prime q near 10^8 would exhaust memory, and GF(2^17)
+# at full length would run for over a minute, rather than fail.  It is fieldmath's one
+# bound on a small field, the largest tabulated one, so the limit and the tables cannot
+# drift apart.
 MAX_ORDER = _TABLE_LIMIT
+
+
+def check_order(q: int, ell: int) -> None:
+    """Raise ValueError if q^ell is over MAX_ORDER, before any field or point is built
+    (checking a modulus is exponential in ell); ell is capped first, so a huge ell costs
+    nothing."""
+    top = MAX_ORDER.bit_length()  # 2^top > MAX_ORDER
+    if q > 1 and ell > 0 and q ** min(ell, top) > MAX_ORDER:
+        order = q if ell == 1 else f"{q}^{ell}"  # q^ell itself can be too long to print
+        raise ValueError(f"field order {order} is over the limit of {MAX_ORDER}")
 
 
 class RepairScheme:
@@ -316,12 +328,8 @@ class RepairScheme:
         duals = data.get("duals")
         if not isinstance(duals, list) or not all(is_int_list(g) for g in duals):
             raise ValueError("scheme field 'duals' must be a list of integer lists")
-        q, ell, top = data["q"], data["ell"], MAX_ORDER.bit_length()  # 2^top > MAX_ORDER
-        # before any field is built, as checking a modulus is exponential in ell
-        if q > 1 and ell > 0 and q ** min(ell, top) > MAX_ORDER:
-            order = q if ell == 1 else f"{q}^{ell}"  # q^ell itself can be too long to print
-            raise ValueError(f"field order {order} is over the limit of {MAX_ORDER}")
-        ctx = field_context(q, ell, data.get("modulus"), data.get("basis"))
+        check_order(data["q"], data["ell"])
+        ctx = field_context(data["q"], data["ell"], data.get("modulus"), data.get("basis"))
         n = data.get("n", ctx.order)
         if not _is_int(n) or n != ctx.order:
             raise ValueError(f"scheme field 'n' must be q^ell = {ctx.order}, got {n!r}")

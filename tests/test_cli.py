@@ -1,4 +1,5 @@
 import contextlib
+import enum
 import io
 import json
 import os
@@ -322,6 +323,28 @@ def test_huge_ell_exits_2_at_once(argv, stdin):
     assert float(proc.stdout) < 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "--q", "2", "--ell", "17", "--k", "131068", "--s", "1", "--node", "3"],
+        ["repair-demo", "--q", "2", "--ell", "17", "--k", "131068", "--s", "1"],
+        ["verify", "--q", "2", "--ell", "17", "--r", "2"],
+        ["compare", "--q", "2", "--ell", "17", "--k", "131068", "--s", "1", "--check"],
+    ],
+    ids=["construct", "repair-demo", "verify", "compare-check"],
+)
+def test_oversized_full_length_code_exits_2_at_once(argv):
+    # GF(2^17) is a valid field, but its full-length code of 131072 points is refused
+    # before any point is built, as from_dict refuses a document naming it
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *argv], capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr == "error: field order 2^17 is over the limit of 65536\n"
+    assert float(proc.stdout) < 1.0
+
+
 def test_repair_demo_seventeen_reads(capsys):
     code, out, _ = _run(
         capsys,
@@ -604,15 +627,40 @@ def test_field_info_answers_for_a_huge_q(extra, code, message):
 
 # ---- the JSON writer ---------------------------------------------------------------
 
+class _Level(enum.IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
 _KEYS = st.text() | st.sampled_from(['', '"', "\\", "\n", "\x00\x1f", "\u00e9t\u00e9", "\u2028", "\U0001f600", "a/b"])
 _SCALARS = (
     st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
     | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300]) | _KEYS
 )
+# values a record's column can hold: exact ints and what equals one without being one
+# (bools, IntEnum members, integral floats), from a small range so that rows collide
+_INTLIKE = st.integers(0, 1) | st.booleans() | st.sampled_from(list(_Level)) | st.sampled_from([0.0, 1.0])
+
+
+def _records(inner):
+    """Lists and tuples of exact dicts sharing one key tuple, in one order; each key's
+    column draws from one kind of value, so whole columns of lists occur."""
+    kinds = st.sampled_from([
+        _INTLIKE, st.lists(_INTLIKE, max_size=2), st.lists(st.integers(0, 1), max_size=2),
+        _INTLIKE | st.just({}) | st.lists(_INTLIKE, max_size=2) | inner,
+    ])
+    keys = st.lists(_KEYS | st.sampled_from(["%", "%s", "%%d", "a%(x)s"]), min_size=1, max_size=3, unique=True)
+    rows = keys.flatmap(lambda ks: st.tuples(*[kinds] * len(ks)).flatmap(
+        lambda cols: st.lists(st.tuples(*cols).map(lambda vs: dict(zip(ks, vs))), min_size=1, max_size=6)
+    ))
+    return rows | rows.map(tuple)
+
+
 _VALUES = st.recursive(
     _SCALARS,
     lambda inner: st.lists(inner, max_size=5) | st.tuples(inner, inner) | st.just(())
-    | st.dictionaries(_KEYS, inner, max_size=5) | st.dictionaries(st.integers(), inner, max_size=3),
+    | st.dictionaries(_KEYS, inner, max_size=5) | st.dictionaries(st.integers(), inner, max_size=3)
+    | _records(inner),
     max_leaves=25,
 )
 
@@ -620,6 +668,36 @@ _VALUES = st.recursive(
 @settings(max_examples=400, deadline=None)
 @given(_VALUES)
 def test_writer_matches_json_dumps_byte_for_byte(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        # (1,) == (True,) == (1.0,): a text keyed on the tuple alone would be shared
+        [{"a": [1]}, {"a": [True]}],
+        [{"a": [1]}, {"a": [1.0]}],
+        [{"a": [True]}, {"a": [1]}, {"a": (1,)}],
+        [{"a": [_Level.ONE]}, {"a": [1]}],
+        ({"%s": 1, "%": [2], "b%d": {}}, {"%s": True, "%": [2], "b%d": 1.0}),
+        [{"a": [{"b": 1}, {"b": [1]}]}, {"a": []}],
+    ],
+    ids=["int-bool", "int-float", "bool-int-tuple", "intenum", "percent-keys", "nested"],
+)
+def test_writer_keeps_equal_but_unlike_values_apart(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}], [{"a": 1}, 1], [{}, {}],
+     [{1: 2}, {1: 2}]],
+    ids=["key-order", "extra-key", "not-a-dict", "no-keys", "int-keys"],
+)
+def test_writer_writes_unlike_records_one_by_one(value, monkeypatch):
+    # no row template here: for one, it would write the second row's keys in the first
+    # row's order
+    monkeypatch.setattr(cli, "_column", mock.Mock(side_effect=AssertionError("record path")))
     assert cli._dumps(value) == json.dumps(value, indent=2)
 
 

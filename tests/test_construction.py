@@ -8,6 +8,7 @@ from repair_lab.construction import (
     predicted_cost,
 )
 from repair_lab.fieldmath import FieldContext
+from repair_lab.rs import RSCode
 
 from oracles import diagonal_zero_counts
 
@@ -67,6 +68,17 @@ def test_parameter_validation():
         build_low_io_scheme(GF4, 3, 1)  # needs n - k >= q + 1 = 3
     with pytest.raises(ValueError, match="k >= 1"):
         build_low_io_scheme(GF8, 0, 0)
+
+
+def test_an_oversized_field_is_refused_before_any_point_is_built(monkeypatch):
+    def build(*args):
+        raise AssertionError("a code was built")
+
+    monkeypatch.setattr(RSCode, "__init__", build)
+    with pytest.raises(ValueError, match=r"^field order 2\^17 is over the limit of 65536$"):
+        build_low_io_scheme(FieldContext(2, 17), 2**17 - 4, 1)
+    with pytest.raises(ValueError, match=r"^field order 257\^2 is over the limit of 65536$"):
+        build_low_io_scheme(FieldContext(257, 2, [3, 0, 1]), 257**2 - 4, 1)
 
 
 def test_tail_dual_codewords_are_constants():

@@ -26,6 +26,26 @@ def test_constructor_validation():
         RSCode(GF8, [False, True, 2], 1)
 
 
+@pytest.mark.parametrize(
+    "points,bad",
+    [([0, 1, 8], 8), ([0, -1, 2], -1), ([0, True, 2], True), ([3, 2.0, 9], 2.0), ([1, None], None),
+     ([9, 1, 2], 9)],
+    ids=["over", "negative", "bool", "float-before-9", "none", "first"],
+)
+def test_constructor_names_the_first_bad_point(points, bad):
+    with pytest.raises(ValueError, match=f"^not a field element: {re.escape(repr(bad))}$"):
+        RSCode(GF8, points, 1)
+
+
+def test_constructor_accepts_int_subclass_points():
+    class Point(int):
+        pass
+
+    code = RSCode(GF8, [Point(0), 1, Point(7)], 1)
+    assert code.eval_points == (0, 1, 7)
+    assert code.encode([5]) == [5] * 3
+
+
 def test_full_length_layout():
     code = RSCode.full_length(GF8, 5)
     assert code.n == 8

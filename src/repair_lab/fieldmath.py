@@ -31,7 +31,8 @@ Coordinate expansions come in two flavours that are easy to mix up:
 coord_rows(values, dual) packs either flavour as one linalg.Packing(q, ell) row and
 its binary text, the one row format of the scheme's I/O table, its repair and the
 search; tabulated fields build it for every element on first use, one table per
-flavour.  basis_coords and dual_coords are views of it: a's row, unpacked.
+flavour.  basis_coords and dual_coords are views of it: a's row, unpacked, and
+pack_values(values, dual) joins the texts of a sequence of values into one wide row.
 
 Contexts are immutable after construction and safe to share across threads;
 field_context() hands equal arguments one shared context.
@@ -367,6 +368,12 @@ class FieldContext:
             rows = self._linear_table([row(self.q**j) for j in range(self.ell)], pk.add)
             self._rows[dual] = rows, [format(v, spec) for v in rows]
         return self._rows[dual]
+
+    def pack_values(self, values, dual: bool = False) -> int:
+        """The coord_rows rows of a sequence of values side by side, the first most
+        significant, as one linalg.Packing(q, len(values) * ell) row."""
+        texts = self.coord_rows(values, dual)[1]
+        return int("".join(map(texts.__getitem__, values)) or "0", 2)
 
     def from_basis_coords(self, coords) -> int:
         a = 0

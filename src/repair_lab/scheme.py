@@ -15,20 +15,20 @@ weight of the row space of all per-node matrices stacked side by side, divided b
 q^(ell-1) * (q-1), minus ell.  Keeping both routes separate is the point of this
 module; nothing may shortcut one through the other.
 
-Both read one packed I/O table (_table), built once per scheme on first use from
-FieldContext.coord_rows: the ell stacked rows, every node's ell rows (its rank is one
-linalg.echelon run) and every node's read columns, the nonzero fields of the OR of
-its rows.  The direct route reads those columns; the formula route only the stacked
-rows, whose row-space weight linalg.coset_weight gives in closed form.  validate
-ranks the failed node's values on the same coord_rows rows, by one linalg.echelon.
+Both read one packed I/O table (_table), built once per scheme on first use: the ell
+stacked rows (FieldContext.pack_values), every node's ell rows (coord_rows; its rank
+is one linalg.echelon run) and every node's read columns, the nonzero fields of the
+OR of its rows.  The direct route reads those columns; the formula route only the
+stacked rows, whose row-space weight linalg.coset_weight gives in closed form.
+validate ranks the failed node's values on the same coord_rows rows, by one echelon.
 
 Repair reads the stacked rows too.  With the failed node's fields cleared, row j
 splits into bit planes R_{j,b} = (row_j >> b) & ones, b < bitlen(q - 1), and the read
-mask M is every whole field where their OR is nonzero.  Per call S joins the helpers'
-basis-coordinate rows alike, masked by M (so only the reported reads count), and the
-trace repair's sum of row_j * stored is sum_{b,b'} 2^(b+b') * popcount(R_{j,b} &
-(S >> b')) mod q: one popcount per row at q = 2.  On a punctured code dual codeword g
-is v_i * g(alpha_i) at node i (RSCode.dual_multipliers); at full length v_i = -1.
+mask M is every whole field where their OR is nonzero.  Per call S is pack_values of
+the symbols, masked by M (so only the reported reads count), and the trace repair's
+sum of row_j * stored is sum_{b,b'} 2^(b+b') * popcount(R_{j,b} & (S >> b')) mod q:
+one popcount per row at q = 2.  On a punctured code dual codeword g is
+v_i * g(alpha_i) at node i (RSCode.dual_multipliers); at full length v_i = -1.
 
 Node indices, subsymbol indices, and dual-codeword indices are 1-based in every
 public interface, matching the storage convention (node 1 holds the evaluation
@@ -135,8 +135,8 @@ class RepairScheme:
     def _table(self) -> tuple[list[int], list[tuple[int, ...]], list[tuple[int, ...]]]:
         # the packed I/O table (module docstring): stacked rows, node rows, read columns
         ell, pk = self.ctx.ell, linalg.Packing(self.ctx.q, self.ctx.ell)
-        rows, texts = self.ctx.coord_rows(chain.from_iterable(self.evals), dual=True)
-        stacked = [int("".join(map(texts.__getitem__, ev)), 2) for ev in self.evals]
+        rows = self.ctx.coord_rows(chain.from_iterable(self.evals), dual=True)[0]
+        stacked = [self.ctx.pack_values(ev, dual=True) for ev in self.evals]
         nodes = list(zip(*(map(rows.__getitem__, ev) for ev in self.evals)))
         masks = [pk.nonzero(reduce(or_, r)) for r in nodes]  # column t: bit (ell-t+1)*b - 1
         cols = {m: tuple(t for t in range(1, ell + 1) if m >> (ell - t + 1) * pk.b - 1 & 1)
@@ -245,8 +245,7 @@ class RepairScheme:
                     raise ValueError(f"helper {i} holds {a!r}, not a field element")
         planes, mask, reads = self._planes
         symbols[star - 1] = 0  # basis_coords(0) = 0: the failed node's fields of S are zero
-        texts = ctx.coord_rows(symbols)[1]
-        packed = int("".join(map(texts.__getitem__, symbols)), 2) & mask  # S
+        packed = ctx.pack_values(symbols) & mask  # S
         stored = [packed >> b for b in range((q - 1).bit_length())]  # S >> b', read at R's bits
         totals = [0] * ctx.ell
         for j, shift, plane in planes:

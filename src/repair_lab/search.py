@@ -30,18 +30,18 @@ Worker i of W (at most the CPU count) walks every slice but costs only the
 fast-row values whose index in the row is i mod W, a cyclic share that spreads
 each surviving subtree over every worker; each keeps its least cost and every
 (slice, counter) reaching it.  The witness, whatever the worker count, is the
-lexicographically smallest reduced-echelon basis (over the basis[t] * x^d) among
-the tied orbits' members.  A tie's rows are read off
-its counter digits; a scaling is B-linear in the e_{d,u} coordinates, and psi_d,
-the table of a -> a * (x - alpha*)^d in linalg's row format (column 0 most
-significant, so integer order is tuple order), gives each c's table
-c^d e_{d,u} = psi_d[c^d b_u]: an image row is a sum of entries times digits,
-and with every c's entry side by side in one integer, one sum per row gives
-that row of every image.  Row 0 of an image's basis leads at its largest row's leading
-field (not bit: an odd-q digit spans bits), so an image leading above the best
-so far is dropped.  At alpha* = 0 each image's constant-term fields are the
-identity (every A_d(b_t) term carries x^d, d >= 1), so it is already reduced,
-its own key; elsewhere linalg reduces it.
+lexicographically smallest reduced-echelon basis (over the basis[t] * x^d) among the
+tied orbits' members.  A tie's rows are read off its counter digits; a scaling is
+B-linear in the e_{d,u} coordinates, so an image row is a sum of entries c^d e_{d,u}
+times digits.  With kappa_{d,j} the x^j coefficient of (x - alpha*)^d, entry c^d
+e_{d,u} is FieldContext.pack_values of its coefficients c^d b_u kappa_{d,j}, j < r,
+in linalg's row format (column 0 most significant, so integer order is tuple order),
+and with every c's entry side by side in one integer, one sum per row gives that row
+of every image.  Row 0 of an image's basis leads at its largest row's leading field
+(not bit: an odd-q digit spans bits), so an image leading above the best so far is
+dropped.  At alpha* = 0 each image's constant-term fields are the identity (every
+A_d(b_t) term carries x^d, d >= 1), so it is already reduced, its own key; elsewhere
+linalg reduces it.
 
 A hard cap (default 10^7 visited schemes) refuses searches that cannot finish
 at interactive scale.
@@ -51,14 +51,14 @@ from __future__ import annotations
 import os
 import sys
 from functools import partial, reduce
-from itertools import accumulate, chain, count
+from itertools import accumulate, count
 from operator import or_
 
 from .construction import build_low_io_scheme, largest_valid_s, predicted_cost
 from .fieldmath import FieldContext, poly_shift
 from .linalg import Packing, back_substitute, echelon
 from .rs import RSCode
-from .scheme import RepairScheme
+from .scheme import RepairScheme, check_order
 
 SUBSPACE_CAP = 10_000_000
 _PARALLEL_THRESHOLD = 50_000
@@ -122,10 +122,8 @@ def _shifted_rows(ctx: FieldContext, r: int) -> list[int]:
     """The stacked subsymbol coordinates of every e_{d,t} = basis[t] * y^d over the
     points y = x - alpha* in order (node 1's), at index d*ell + t: its values'
     dual_coords, packed by linalg.Packing(q, n*ell)."""
-    values = [[ctx.mul(b, ctx.power(y, d)) for y in range(ctx.order)]
-              for d in range(r) for b in ctx.basis]
-    texts = ctx.coord_rows(chain.from_iterable(values), dual=True)[1]
-    return [int("".join(map(texts.__getitem__, row)), 2) for row in values]
+    return [ctx.pack_values([ctx.mul(b, ctx.power(y, d)) for y in range(ctx.order)], dual=True)
+            for d in range(r) for b in ctx.basis]
 
 
 def _rows_to_scheme(ctx: FieldContext, rows, r: int, star: int) -> RepairScheme:
@@ -147,24 +145,18 @@ def _witness_key(ctx: FieldContext, r: int, star: int, ties, pk: Packing) -> lis
     among the ties' images: each tie (slice, counter) and, outside the A_1 = 0 slice, its
     q^ell - 1 scalings A_d -> c^d A_d (which are reduced: see the module docstring).  A
     tie's rows for every scaling come from one sum per row, under
-    Packing(q, r*ell*(q^ell - 1)): psi_d is B-linear, so a digit g scales the
-    packed c^d e_{d,u} in every lane at once."""
-    q, ell, shift = ctx.q, ctx.ell, ctx.neg(star - 1)
-    # (x - alpha*)^d as x^j coefficients, j < r, times each monomial q^i
-    powers = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
-    images = [[[ctx.mul(q**i, p) for p in ps] for i in range(ell)] for ps in powers]
-    texts = ctx.coord_rows([a for image in images for row in image for a in row])[1]
-    # psi[d][a]: a * (x - alpha*)^d packed over the basis[t] * x^j, B-linear in a
-    psi = [
-        ctx._linear_table([int("".join(map(texts.__getitem__, row)), 2) for row in image], pk.add)
-        for image in images
-    ]
+    Packing(q, r*ell*(q^ell - 1)): entry d*ell + u packs every c's c^d e_{d,u} side by
+    side, so a digit g scales it in every lane at once."""
+    ell, shift = ctx.ell, ctx.neg(star - 1)
+    # kappa[d][j]: the x^j coefficient of (x - alpha*)^d, j < r
+    kappa = [poly_shift(ctx, [0] * d + [1], shift) + [0] * (r - 1 - d) for d in range(r)]
     scalings = range(1, ctx.order) if any(s < ell for s, _ in ties) else (1,)
     full, lanes = r * ell * pk.b, len(scalings)
-    wide, spec = Packing(q, r * ell * lanes), f"0{full}b"
-    # every c's c^d e_{d,u} side by side, c = 1 first: one sum gives every image's row
-    entry = [int("".join([format(psi_d[ctx.mul(ctx.power(c, d), b)], spec) for c in scalings]), 2)
-             for d, psi_d in enumerate(psi) for b in ctx.basis]  # at index d*ell + u
+    wide = Packing(ctx.q, r * ell * lanes)
+    # c^d e_{d,u} = sum_j c^d b_u kappa_{d,j} x^j, c = 1 first: one sum gives every image's row
+    entry = [ctx.pack_values([ctx.mul(ctx.power(c, d), ctx.mul(b, k))
+                              for c in scalings for k in ks])
+             for d, ks in enumerate(kappa) for b in ctx.basis]  # at index d*ell + u
     one, mask = ctx.basis_coords(1), (1 << full) - 1
     cells = [_cells(s, ell, r) for s in range(ell + 1)]
     best, above = [1 << full], 0  # best is above every key; `above`, the bits above its lead
@@ -306,10 +298,11 @@ def min_io_exhaustive(
     full-length code with n - k = r parities, plus a witness scheme achieving it
     (the one with lexicographically smallest echelon basis).
 
-    Raises ValueError when the visit count exceeds the cap or workers < 1
-    (None means one per CPU, and more than that are not started).
+    Raises ValueError for workers < 1 (None means one per CPU, more are not started),
+    a field over scheme.MAX_ORDER or a visit count over the cap.
     """
     W = _workers(workers)
+    check_order(ctx.q, ctx.ell)
     n, ell, q = ctx.order, ctx.ell, ctx.q
     if not 2 <= r <= n - 1:
         raise ValueError(f"need 2 <= r <= n-1, got r={r}")

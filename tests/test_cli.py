@@ -345,6 +345,19 @@ def test_oversized_full_length_code_exits_2_at_once(argv):
     assert float(proc.stdout) < 1.0
 
 
+@pytest.mark.parametrize("q", [65537, 1000003])
+def test_search_over_the_order_limit_exits_2_at_once(q):
+    # the search refuses a field no scheme may be built on before it scans or tabulates
+    argv = ["search-min", "--q", str(q), "--ell", "1", "--r", "2"]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TIMED_MAIN, *argv], capture_output=True, text=True, timeout=120,
+        preexec_fn=_limit_memory,
+    )
+    assert proc.returncode == 2, proc.stderr[-500:]
+    assert proc.stderr == f"error: field order {q} is over the limit of 65536\n"
+    assert float(proc.stdout) < 1.0
+
+
 def test_repair_demo_seventeen_reads(capsys):
     code, out, _ = _run(
         capsys,

@@ -423,6 +423,25 @@ def test_large_field_without_tables():
     assert ctx._rows == {}
 
 
+_PACK_FIELDS = [GF8, GF9, FieldContext(2, 10), FieldContext(5, 2, None, [7, 3]), FieldContext(2, 17)]
+
+
+@pytest.mark.parametrize("ctx", _PACK_FIELDS, ids=lambda c: f"{c.describe()} basis={list(c.basis)}")
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_pack_values_joins_the_coordinate_rows(ctx, data):
+    # the first value most significant, repeats and single values included; GF(2^17)
+    # builds no table, so its rows come from coord_rows' per-call route
+    values = data.draw(st.lists(st.integers(0, ctx.order - 1), min_size=1, max_size=9))
+    values += data.draw(st.lists(st.sampled_from(values), max_size=3))
+    for dual, coords in ((False, ctx.basis_coords), (True, ctx.dual_coords)):
+        pk = linalg.Packing(ctx.q, len(values) * ctx.ell)
+        assert ctx.pack_values(values, dual) == pk.pack([x for a in values for x in coords(a)])
+        assert ctx.pack_values(values[:1], dual) == linalg.Packing(ctx.q, ctx.ell).pack(
+            coords(values[0]))
+        assert ctx.pack_values((), dual) == 0
+
+
 _TRACE_CASES = [(2, 17, None), (5, 7, None), (2, 4, None), (3, 3, None), (5, 2, None),
                 (2, 1, None), (7, 1, None), (2, 3, (1, 0, 1, 1)), (3, 2, (2, 1, 1))]
 

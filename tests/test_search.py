@@ -1,3 +1,4 @@
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -322,6 +323,19 @@ def test_witness_key_over_every_visited_orbit(ctx, r):
     for star in range(1, ctx.order + 1):
         assert search._witness_key(ctx, r, star, visited, pk) == min(
             packed_orbit_keys(ctx, r, star, visited, pk)
+        )
+
+
+@pytest.mark.parametrize("star", [1, 2, 961])
+def test_witness_key_across_960_lanes(star):
+    # GF(31^2) at r = 2: a tie outside the A_1 = 0 slice has 960 scalings, one lane
+    # each in the witness's wide rows; the scan's ties and a few drawn ones
+    ctx, r = FieldContext(31, 2), 2
+    pk, rng = Packing(ctx.q, r * ctx.ell), random.Random(star)
+    drawn = [(0, k) for k in rng.sample(range(ctx.q**2), 6)] + [(1, 0), (2, 0)]
+    for ties in (search._scan(ctx, r, range(ctx.ell + 1))[3], drawn):
+        assert search._witness_key(ctx, r, star, ties, pk) == min(
+            packed_orbit_keys(ctx, r, star, ties, pk)
         )
 
 

@@ -9,17 +9,19 @@ A FieldContext fixes q, ell, the modulus (default: the monic irreducible of degr
 ell with the smallest encoding, for fields up to 5^12), and a working basis of F
 over B (default: the polynomial basis 1, x, ..., x^{ell-1}).  When the field is
 small enough mul and power read discrete log/antilog tables, else they run direct
-polynomial arithmetic; add is XOR at q = 2, digit-wise sums else.  Every other
-operation is derived from these three.  The trace, B-linear, is the dot product of
-a's digits with the monomials' traces, which Newton's identities read off the
-modulus, for every field.  All arithmetic is exact — no floating point.
+polynomial arithmetic.  add is XOR at q = 2; at odd q with tables it reads Zech's
+logarithms Z[k] = log(1 + g^k) as a + b = g^(log a + Z[log b - log a]), and sums
+digits without tables.  Every other operation is derived from these three.  The
+trace, B-linear, is the dot product of a's digits with the monomials' traces,
+which Newton's identities read off the modulus.  All arithmetic is exact.
 
 Every table is filled by linearity over B.  Multiplication by the generator g and
 both coordinate expansions are B-linear maps f, so f is fixed by its ell values at
-the monomials q^j, and the rest follows in integer order, one addition per
-element: f(a) = f(a - q^h) + f(q^h), where q^h is the highest power of q not above
-a.  The antilog table then walks g^(i+1) = (g * .)(g^i) through the tabulated
-multiplication by g.
+the monomials q^j, and the rest follows in integer order, one addition of values
+per element: f(d*q^h + a) = f(a) + d*f(q^h) for a < q^h.  At odd q the values of
+g * . are linalg.Packing digit rows, read back through every element's row, so no
+field addition is made.  The antilog table walks g^(i+1) = (g * .)(g^i), and Z
+reads 1 + g^k off g^k by raising its lowest digit.
 
 Coordinate expansions come in two flavours that are easy to mix up:
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate
-from operator import mul, xor
+from operator import add, mul, xor
 
 from . import linalg
 
@@ -89,13 +91,12 @@ def _is_prime(n: int) -> bool:
 
 def _poly_rem(a: list[int], b: tuple[int, ...], q: int) -> list[int]:
     """Remainder of a modulo the monic polynomial b, coefficients ascending."""
-    a = list(a)
-    db = len(b) - 1
+    a, db = list(a), len(b) - 1
+    terms = [(i - db, m) for i, m in enumerate(b[:db]) if m]  # b's nonzero lower terms
     for da in range(len(a) - 1, db - 1, -1):
-        c = a[da]
-        if c:
-            for i in range(db + 1):
-                a[da - db + i] = (a[da - db + i] - c * b[i]) % q
+        if c := a[da]:
+            for i, m in terms:
+                a[da + i] = (a[da + i] - c * m) % q
     return a[:db]
 
 
@@ -105,11 +106,7 @@ def _divisor(modulus: tuple[int, ...], q: int) -> list[int] | None:
     deg = len(modulus) - 1
     for d in range(1, deg // 2 + 1):
         for enc in range(q**d):
-            g, e = [], enc
-            for _ in range(d):
-                g.append(e % q)
-                e //= q
-            g.append(1)
+            g = [enc // q**i % q for i in range(d)] + [1]
             if not any(_poly_rem(modulus, tuple(g), q)):
                 return g
     return None
@@ -165,8 +162,7 @@ class FieldContext:
         self.order = q**ell
         self.modulus = modulus
 
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
+        self._exp = self._log = self._zech = None  # tables: log/antilog; at odd q, Zech's
         self._pk = linalg.Packing(q, ell)  # coord_rows' row format
         self._rows: dict[bool, tuple[list[int], list[str]]] = {}  # coord_rows', by flavour
         if self.order <= _TABLE_LIMIT:
@@ -217,8 +213,6 @@ class FieldContext:
     # ---- raw polynomial arithmetic (table-free path) ----------------------
 
     def _add_raw(self, a: int, b: int) -> int:
-        if self.q == 2:
-            return a ^ b
         da, db = self.digits(a), self.digits(b)
         return self.from_digits((x + y) % self.q for x, y in zip(da, db))
 
@@ -244,24 +238,28 @@ class FieldContext:
     # ---- tables ------------------------------------------------------------
 
     def _linear_table(self, images, add, start=0) -> list[int]:
-        """Values at every element of the B-linear map with values `images` at
-        the monomials q^0 .. q^(ell-1), given the addition of its values, each
-        plus `start`: the block [d*q^h, (d+1)*q^h) is the block below it plus
-        f(q^h)."""
+        """Values at every element of the B-linear map f with values `images` at the
+        monomials q^0 .. q^(ell-1), given the addition of its values, each plus
+        `start`: the block [d*q^h, (d+1)*q^h) is the block [0, q^h) plus d*f(q^h)."""
         table = [start]
         for image in images:
-            size = len(table)
-            for _ in range(self.q - 1):
-                table.extend([add(v, image) for v in table[-size:]])
+            multiples = accumulate([image] * (self.q - 2), add, initial=image)  # d*f(q^h), d > 0
+            table += [add(v, m) for m in multiples for v in table]
         return table
 
     def _build_tables(self) -> None:
-        q, n = self.q, self.order - 1
+        q, n, pk = self.q, self.order - 1, self._pk
         factors = [p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)]
         g = next(c for c in range(1, self.order)  # a generator: 1 when n = 1, else c > 1
                  if all(self._pow_raw(c, n // p) != 1 for p in factors))
-        add = xor if q == 2 else self.add
-        times_g = self._linear_table([self._mul_raw(g, q**j) for j in range(self.ell)], add)
+        images = [self._mul_raw(g, q**j) for j in range(self.ell)]
+        if q == 2:
+            times_g = self._linear_table(images, xor)
+        else:  # on packed digit rows, read back through every element's row; a monomial's
+            # row has one nonzero digit, so int addition builds every element's
+            rows = [self._linear_table([pk.pack(self.digits(v)) for v in vs], plus)
+                    for vs, plus in (([q**j for j in range(self.ell)], add), (images, pk.add))]
+            times_g = list(map(dict(zip(rows[0], range(self.order))).__getitem__, rows[1]))
         exp = list(accumulate(range(n - 1), lambda v, _: times_g[v], initial=1))  # g^0..g^(n-1)
         if times_g[exp[-1]] != 1:
             raise AssertionError("generator search failed")
@@ -269,6 +267,8 @@ class FieldContext:
         for i, v in enumerate(exp):
             log[v] = i
         self._exp, self._log = exp * 2, log
+        if q != 2:  # Z[k] = log(1 + g^k), None where 1 + g^k = 0; 1 + v raises v's lowest digit
+            self._zech = [log[w] if (w := v - v % q + (v + 1) % q) else None for v in exp]
 
     def _monomial_traces(self) -> list[int]:
         """Tr(x^j) for j < ell, the power sums p_j of the modulus's roots (x and its
@@ -283,7 +283,17 @@ class FieldContext:
 
     # ---- field operations ---------------------------------------------------
 
-    add = _add_raw  # XOR at q = 2, digit by digit otherwise
+    def add(self, a: int, b: int) -> int:
+        """XOR at q = 2; with tables a + b = g^(log a + Z[log b - log a]); else digit-wise."""
+        if self.q == 2:
+            return a ^ b
+        if not a or not b:
+            return a or b
+        if self._zech is None:
+            return self._add_raw(a, b)
+        la = self._log[a]
+        z = self._zech[self._log[b] - la]  # a negative index wraps mod q^ell - 1
+        return 0 if z is None else self._exp[la + z]
 
     def neg(self, a: int) -> int:
         return self.mul(self.q - 1, a)  # -1 = q - 1 lies in B

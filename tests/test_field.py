@@ -228,6 +228,47 @@ def test_derived_operations_match_the_raw_routes(q, ell, draws):
             bad()
 
 
+# Zech addition: every pair against the digit route on small odd fields, the x^2+x+2
+# modulus over GF(3) included
+_ZECH_FIELDS = [(3, 1, None), (3, 2, None), (3, 2, (2, 1, 1)), (3, 3, None), (5, 2, None), (7, 2, None)]
+
+
+@pytest.mark.parametrize(
+    "q, ell, modulus", _ZECH_FIELDS,
+    ids=[f"{q}-{ell}" + (f"-{''.join(map(str, m))}" if m else "") for q, ell, m in _ZECH_FIELDS],
+)
+def test_zech_add_matches_the_digit_route_on_every_pair(q, ell, modulus):
+    ctx = FieldContext(q, ell, modulus)
+    assert ctx._zech is not None
+    for a, b in product(range(ctx.order), repeat=2):
+        assert ctx.add(a, b) == ctx._add_raw(a, b), (a, b)
+
+
+@pytest.mark.parametrize("q, ell", [(3, 10), (251, 2), (65521, 1)])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_zech_add_on_the_largest_tabulated_fields(q, ell, data):
+    # zero operands and a + (-a) = 0, the one sum Z leaves empty, drawn often
+    ctx = field_context(q, ell)
+    element = st.one_of(st.just(0), st.integers(1, ctx.order - 1))
+    a, b = data.draw(element), data.draw(element)
+    minus_a = ctx.from_digits(-d for d in ctx.digits(a))
+    assert ctx.add(a, b) == ctx._add_raw(a, b)
+    assert ctx.add(a, 0) == ctx.add(0, a) == a
+    assert ctx.add(a, minus_a) == ctx.add(minus_a, a) == 0
+
+
+def test_table_free_odd_field_adds_digit_by_digit(monkeypatch):
+    ctx, calls = FieldContext(5, 8), []
+    assert ctx._zech is None and ctx._exp is None
+    raw = ctx._add_raw
+    monkeypatch.setattr(ctx, "_add_raw", lambda a, b: calls.append((a, b)) or raw(a, b))
+    rng = random.Random(41)
+    pairs = [(rng.randrange(1, ctx.order), rng.randrange(1, ctx.order)) for _ in range(20)]
+    assert [ctx.add(a, b) for a, b in pairs] == [raw(a, b) for a, b in pairs]
+    assert calls == pairs
+
+
 def test_power_and_order():
     for a in range(1, GF8.order):
         assert GF8.power(a, GF8.order - 1) == 1
@@ -393,6 +434,31 @@ def test_tables_match_the_element_by_element_builders(ctx):
     assert list(fresh._rows) == [True, False]
 
 
+@pytest.mark.parametrize(
+    "ctx", [c for c in TABLE_FIELDS if c.q != 2], ids=lambda c: f"{c.describe()} basis={list(c.basis)}"
+)
+def test_zech_table_has_one_empty_entry_at_minus_one(ctx):
+    # Z[k] = log(1 + g^k), by the digit route; 1 + g^k = 0 only where g^k = -1
+    n = ctx.order - 1
+    assert len(ctx._zech) == n
+    assert [k for k, z in enumerate(ctx._zech) if z is None] == [n // 2]
+    for k, z in enumerate(ctx._zech):
+        s = ctx._add_raw(1, ctx._exp[k])
+        assert (s == 0) == (k == n // 2) and (z is None or ctx._log[s] == z)
+
+
+@pytest.mark.parametrize("q, ell, modulus", [(3, 4, None), (5, 3, None), (3, 2, (2, 1, 1)), (2, 5, None)])
+def test_tables_are_built_without_field_addition(q, ell, modulus, monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("a table was built with a field addition")
+
+    built = FieldContext(q, ell, modulus)
+    monkeypatch.setattr(FieldContext, "add", refuse)
+    monkeypatch.setattr(FieldContext, "_add_raw", refuse)
+    ctx = FieldContext(q, ell, modulus)
+    assert (ctx._exp, ctx._log, ctx._zech) == (built._exp, built._log, built._zech)
+
+
 def test_large_field_without_tables():
     # past the table limit everything falls back to direct polynomial arithmetic
     ctx = FieldContext(5, 8)
@@ -453,13 +519,13 @@ _TRACE_CASES = [(2, 17, None), (5, 7, None), (2, 4, None), (3, 3, None), (5, 2, 
 def test_table_free_trace_is_the_frobenius_orbit_sum(q, ell, modulus):
     # with or without tables, at ell = 1 and under non-default moduli (x^3+x^2+1 over
     # GF(2), x^2+x+2 over GF(3)), the trace read off the modulus by Newton's identities
-    # is the sum of the Frobenius orbit
+    # is the sum of the Frobenius orbit, summed by the digit route alone
     ctx = FieldContext(q, ell, modulus)
     rng = random.Random(17)
     for a in [0, 1, q % ctx.order, *(rng.randrange(ctx.order) for _ in range(20))]:
         orbit, b = 0, a
         for _ in range(ell):
-            orbit, b = ctx.add(orbit, b), ctx._pow_raw(b, q)
+            orbit, b = ctx._add_raw(orbit, b), ctx._pow_raw(b, q)
         assert ctx.trace(a) == orbit
 
 
